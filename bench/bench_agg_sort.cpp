@@ -1,19 +1,15 @@
-// Back-half vectorization research question — after PR "columnar scan"
-// moved the front of the pipeline (scan/filter/project) to chunks, the
-// aggregate and sort operators still boxed a Value per cell. How much do
-// the chunk-native kernels (hash group-by over typed accumulator arrays,
-// index-permutation sort with typed comparators) buy over the row
-// kernels on 1M-row inputs, and is the output still byte-identical?
+// Back-half vectorization research question — how fast do the
+// chunk-native aggregate and sort kernels (hash group-by over typed
+// accumulator arrays, index-permutation sort with typed comparators) run
+// on 1M-row inputs, and is their output still exactly the row-at-a-time
+// reference's?
 //
-// Drives the SAME operator factories both ways via ExecImpl: the row
-// kernels materialized row-at-a-time (the reference) against the
-// columnar kernels materialized in chunks. Checks cell-for-cell identity
-// (lids included) on a subset and fingerprint identity at full size
-// before timing. Acceptance target: >= 4x wall-clock speedup each.
+// Before timing, both pipelines are checked cell for cell (lids and
+// fingerprints included) on a 20k-row subset against the row oracle of
+// tests/row_oracle.h.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -22,6 +18,7 @@
 
 #include "relational/ops.h"
 #include "relational/table.h"
+#include "row_oracle.h"
 
 using namespace kathdb::rel;  // NOLINT
 
@@ -59,23 +56,25 @@ std::shared_ptr<Table> MakeFactTable(size_t rows) {
 
 /// GROUP BY genre, year with one aggregate of every function: 600 groups
 /// out of 1M rows, dictionary + int keys.
-OperatorPtr MakeGroupBy(std::shared_ptr<Table> table, ExecImpl impl) {
-  std::vector<AggSpec> aggs = {
-      {AggFn::kCount, "", "n"},
-      {AggFn::kSum, "score", "sum_score"},
-      {AggFn::kAvg, "score", "avg_score"},
-      {AggFn::kMin, "score", "min_score"},
-      {AggFn::kMax, "mid", "max_mid"},
-  };
-  return MakeAggregate(MakeSeqScan(std::move(table)), {"genre", "year"},
-                       std::move(aggs), impl);
+const std::vector<std::string> kGroupCols = {"genre", "year"};
+const std::vector<AggSpec> kAggs = {
+    {AggFn::kCount, "", "n"},
+    {AggFn::kSum, "score", "sum_score"},
+    {AggFn::kAvg, "score", "avg_score"},
+    {AggFn::kMin, "score", "min_score"},
+    {AggFn::kMax, "mid", "max_mid"},
+};
+
+OperatorPtr MakeGroupBy(std::shared_ptr<Table> table) {
+  return MakeAggregate(MakeSeqScan(std::move(table)), kGroupCols, kAggs);
 }
 
 /// ORDER BY score DESC, mid ASC: a double key with heavy ties broken by
 /// a unique int key, full-width payload carried through.
-OperatorPtr MakeOrderBy(std::shared_ptr<Table> table, ExecImpl impl) {
-  return MakeSort(MakeSeqScan(std::move(table)),
-                  {{"score", true}, {"mid", false}}, impl);
+const std::vector<SortKey> kSortKeys = {{"score", true}, {"mid", false}};
+
+OperatorPtr MakeOrderBy(std::shared_ptr<Table> table) {
+  return MakeSort(MakeSeqScan(std::move(table)), kSortKeys);
 }
 
 bool Identical(const Table& a, const Table& b) {
@@ -96,90 +95,27 @@ bool Identical(const Table& a, const Table& b) {
   return true;
 }
 
-double TimedMs(const std::function<kathdb::Result<Table>()>& run,
-               Table* out) {
-  auto t0 = std::chrono::steady_clock::now();
-  auto r = run();
-  auto t1 = std::chrono::steady_clock::now();
-  if (!r.ok()) {
-    std::fprintf(stderr, "materialize failed: %s\n",
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  *out = std::move(r).value();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using MakeOp = std::function<OperatorPtr(std::shared_ptr<Table>)>;
+using OracleFn = std::function<kathdb::Result<Table>(const Table&)>;
 
-using MakeOp = std::function<OperatorPtr(std::shared_ptr<Table>, ExecImpl)>;
-
-void ComparePipeline(const char* label, const MakeOp& make, double target) {
-  // Byte-identity first, on a subset small enough to compare cell by cell.
+void CheckAgainstOracle(const char* label, const MakeOp& make,
+                        const OracleFn& oracle) {
   auto check = MakeFactTable(kCheckRows);
-  Table by_rows;
-  Table by_cols;
-  auto rows_op = make(check, ExecImpl::kRow);
-  auto cols_op = make(check, ExecImpl::kColumnar);
-  TimedMs([&] { return MaterializeRows(rows_op.get(), "out"); }, &by_rows);
-  TimedMs([&] { return Materialize(cols_op.get(), "out"); }, &by_cols);
-  if (!Identical(by_rows, by_cols)) {
-    std::fprintf(stderr, "%s: columnar result differs from row result\n",
+  auto op = make(check);
+  auto got = Materialize(op.get(), "out");
+  auto want = oracle(*check);
+  if (!got.ok() || !want.ok() || !Identical(*want, *got)) {
+    std::fprintf(stderr, "%s: columnar result differs from the row oracle\n",
                  label);
     std::abort();
   }
-
-  auto facts = MakeFactTable(kRows);
-  std::printf("=== %s over %zu rows ===\n", label, kRows);
-  std::printf("%-10s %-12s %-12s %-10s %-10s\n", "path", "wall_ms",
-              "out_rows", "speedup", "identical");
-  Table row_out;
-  Table col_out;
-  auto op_r = make(facts, ExecImpl::kRow);
-  auto op_c = make(facts, ExecImpl::kColumnar);
-  double row_ms =
-      TimedMs([&] { return MaterializeRows(op_r.get(), "out"); }, &row_out);
-  double col_ms =
-      TimedMs([&] { return Materialize(op_c.get(), "out"); }, &col_out);
-  bool same = row_out.num_rows() == col_out.num_rows() &&
-              row_out.Fingerprint() == col_out.Fingerprint();
-  std::printf("%-10s %-12.1f %-12zu %-10s %-10s\n", "row", row_ms,
-              row_out.num_rows(), "1.00", "-");
-  std::printf("%-10s %-12.1f %-12zu %-10.2f %-10s\n", "columnar", col_ms,
-              col_out.num_rows(), row_ms / col_ms, same ? "yes" : "NO");
-  std::printf("speedup: %.2fx (target >= %.1fx)\n\n", row_ms / col_ms,
-              target);
-  if (!same) std::abort();
 }
-
-void PrintComparison() {
-  ComparePipeline("group-by: Aggregate(genre,year; 5 aggs)", MakeGroupBy,
-                  4.0);
-  ComparePipeline("sort: Sort(score DESC, mid ASC)", MakeOrderBy, 4.0);
-}
-
-void BM_RowGroupBy(benchmark::State& state) {
-  auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
-  size_t out_rows = 0;
-  for (auto _ : state) {
-    auto op = MakeGroupBy(facts, ExecImpl::kRow);
-    auto r = MaterializeRows(op.get(), "out");
-    if (!r.ok()) std::abort();
-    out_rows = r->num_rows();
-    benchmark::DoNotOptimize(out_rows);
-  }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RowGroupBy)
-    ->Arg(kCheckRows)
-    ->Arg(kRows)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_ColumnarGroupBy(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeGroupBy(facts, ExecImpl::kColumnar);
+    auto op = MakeGroupBy(facts);
     auto r = Materialize(op.get(), "out");
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
@@ -194,30 +130,11 @@ BENCHMARK(BM_ColumnarGroupBy)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_RowSort(benchmark::State& state) {
-  auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
-  size_t out_rows = 0;
-  for (auto _ : state) {
-    auto op = MakeOrderBy(facts, ExecImpl::kRow);
-    auto r = MaterializeRows(op.get(), "out");
-    if (!r.ok()) std::abort();
-    out_rows = r->num_rows();
-    benchmark::DoNotOptimize(out_rows);
-  }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RowSort)
-    ->Arg(kCheckRows)
-    ->Arg(kRows)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_ColumnarSort(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeOrderBy(facts, ExecImpl::kColumnar);
+    auto op = MakeOrderBy(facts);
     auto r = Materialize(op.get(), "out");
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
@@ -235,16 +152,12 @@ BENCHMARK(BM_ColumnarSort)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The printed comparison (equivalence check + headline speedup) only
-  // runs unfiltered; CI smoke runs filter to one benchmark and should
-  // not pay for the full 1M-row sweep twice.
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_filter", 0) == 0) {
-      filtered = true;
-    }
-  }
-  if (!filtered) PrintComparison();
+  CheckAgainstOracle("group-by", MakeGroupBy, [](const Table& t) {
+    return oracle::Aggregate(t, kGroupCols, kAggs);
+  });
+  CheckAgainstOracle("sort", MakeOrderBy, [](const Table& t) {
+    return oracle::Sort(t, kSortKeys);
+  });
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

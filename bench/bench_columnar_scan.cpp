@@ -1,28 +1,25 @@
 // Columnar storage research question — the ROADMAP's "as fast as the
-// hardware allows" north star starts at the storage layout: how much does
+// hardware allows" north star starts at the storage layout: how fast does
 // the columnar engine (typed column arrays + vectorized predicates +
-// selection-vector output assembly) buy over the row-at-a-time volcano
-// path on the classical scan+filter shape, and is the output still
-// byte-identical, lineage included?
+// selection-vector output assembly) run the classical scan+filter shape,
+// and is the output still exactly the row-at-a-time reference's, lineage
+// included?
 //
 // Drives a 1M-row synthetic fact table through SeqScan -> Filter with a
-// ~5% selective numeric predicate, materialized two ways over the SAME
-// operator classes: MaterializeRows (row-at-a-time Next(), the reference)
-// and Materialize (NextChunk(), bulk column appends). Checks that the two
-// results carry identical cells, lids and fingerprints before timing.
-// Acceptance target: >= 5x wall-clock speedup for the chunked path.
+// ~2% selective numeric predicate. Before timing, a 20k-row subset is
+// checked cell for cell (lids and fingerprints included) against the
+// row oracle of tests/row_oracle.h.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "relational/expr.h"
 #include "relational/ops.h"
 #include "relational/table.h"
+#include "row_oracle.h"
 
 using namespace kathdb::rel;  // NOLINT
 
@@ -91,74 +88,16 @@ bool Identical(const Table& a, const Table& b) {
   return true;
 }
 
-double TimedMs(const std::function<kathdb::Result<Table>()>& run,
-               Table* out) {
-  auto t0 = std::chrono::steady_clock::now();
-  auto r = run();
-  auto t1 = std::chrono::steady_clock::now();
-  if (!r.ok()) {
-    std::fprintf(stderr, "materialize failed: %s\n",
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  *out = std::move(r).value();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-void PrintComparison() {
-  // Byte-identity first, on a subset small enough to compare cell by cell.
+void CheckAgainstOracle() {
   auto check = MakeFactTable(kCheckRows);
-  Table by_rows;
-  Table by_chunks;
-  auto rows_op = MakeScanFilter(check);
-  auto chunk_op = MakeScanFilter(check);
-  TimedMs([&] { return MaterializeRows(rows_op.get(), "out"); }, &by_rows);
-  TimedMs([&] { return Materialize(chunk_op.get(), "out"); }, &by_chunks);
-  if (!Identical(by_rows, by_chunks)) {
-    std::fprintf(stderr, "columnar result differs from row result\n");
+  auto op = MakeScanFilter(check);
+  auto got = Materialize(op.get(), "out");
+  auto want = oracle::Filter(*check, *ScanPredicate());
+  if (!got.ok() || !want.ok() || !Identical(*want, *got)) {
+    std::fprintf(stderr, "columnar result differs from the row oracle\n");
     std::abort();
   }
-
-  auto facts = MakeFactTable(kRows);
-  std::printf("=== columnar scan: SeqScan+Filter over %zu rows ===\n", kRows);
-  std::printf("%-10s %-12s %-12s %-10s %-10s\n", "path", "wall_ms",
-              "out_rows", "speedup", "identical");
-  Table row_out;
-  Table col_out;
-  auto op_r = MakeScanFilter(facts);
-  auto op_c = MakeScanFilter(facts);
-  double row_ms =
-      TimedMs([&] { return MaterializeRows(op_r.get(), "out"); }, &row_out);
-  double col_ms =
-      TimedMs([&] { return Materialize(op_c.get(), "out"); }, &col_out);
-  bool same = row_out.num_rows() == col_out.num_rows() &&
-              row_out.Fingerprint() == col_out.Fingerprint();
-  std::printf("%-10s %-12.1f %-12zu %-10s %-10s\n", "row", row_ms,
-              row_out.num_rows(), "1.00", "-");
-  std::printf("%-10s %-12.1f %-12zu %-10.2f %-10s\n", "columnar", col_ms,
-              col_out.num_rows(), row_ms / col_ms, same ? "yes" : "NO");
-  std::printf("speedup: %.2fx (target >= 5.0x)\n\n", row_ms / col_ms);
-  if (!same) std::abort();
 }
-
-void BM_RowScanFilter(benchmark::State& state) {
-  auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
-  size_t out_rows = 0;
-  for (auto _ : state) {
-    auto op = MakeScanFilter(facts);
-    auto r = MaterializeRows(op.get(), "out");
-    if (!r.ok()) std::abort();
-    out_rows = r->num_rows();
-    benchmark::DoNotOptimize(out_rows);
-  }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RowScanFilter)
-    ->Arg(kCheckRows)
-    ->Arg(kRows)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_ColumnarScanFilter(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
@@ -182,16 +121,7 @@ BENCHMARK(BM_ColumnarScanFilter)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The printed comparison (equivalence check + headline speedup) only
-  // runs unfiltered; CI smoke runs filter to one benchmark and should
-  // not pay for the full 1M-row sweep twice.
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_filter", 0) == 0) {
-      filtered = true;
-    }
-  }
-  if (!filtered) PrintComparison();
+  CheckAgainstOracle();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -29,6 +29,7 @@
 #include "relational/expr.h"
 #include "relational/ops.h"
 #include "relational/table.h"
+#include "row_oracle.h"
 #include "service/result_cache.h"
 
 using namespace kathdb;         // NOLINT
@@ -246,12 +247,12 @@ void PrintScalingTable() {
               speedup_4w);
 }
 
-// --------------------------------------------------- layout comparison
+// ------------------------------------------------------- layout point
 //
 // The morsel grid above answers "what does parallel scheduling buy";
-// this point answers "what does the storage layout buy" on the same
-// scan+filter shape, so the two speedups stay separable in the JSON:
-// layout_speedup here is purely row-vs-columnar, workers fixed at 1.
+// this point times the columnar scan+filter shape at one worker, checked
+// against the row oracle, so the storage layout's own cost stays
+// separable from the scheduling speedups in the JSON.
 
 constexpr size_t kLayoutRows = 200'000;
 
@@ -275,43 +276,30 @@ rel::TablePtr MakeLayoutTable(size_t rows) {
   return t;
 }
 
-rel::OperatorPtr MakeLayoutScanFilter(rel::TablePtr table) {
-  auto pred = rel::Expr::Binary(
+rel::ExprPtr LayoutPredicate() {
+  return rel::Expr::Binary(
       rel::BinaryOp::kAnd,
       rel::Expr::Binary(rel::BinaryOp::kLt, rel::Expr::Column("score"),
                         rel::Expr::Literal(rel::Value::Double(0.05))),
       rel::Expr::Binary(rel::BinaryOp::kGe, rel::Expr::Column("year"),
                         rel::Expr::Literal(rel::Value::Int(1990))));
-  return rel::MakeFilter(rel::MakeSeqScan(std::move(table)),
-                         std::move(pred));
 }
 
 void BM_LayoutScanFilter(benchmark::State& state) {
   auto facts = MakeLayoutTable(static_cast<size_t>(state.range(0)));
-  double row_ms = 0.0;
-  double col_ms = 0.0;
+  auto want = rel::oracle::Filter(*facts, *LayoutPredicate());
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op_r = MakeLayoutScanFilter(facts);
-    auto t0 = std::chrono::steady_clock::now();
-    auto by_rows = rel::MaterializeRows(op_r.get(), "out");
-    auto t1 = std::chrono::steady_clock::now();
-    auto op_c = MakeLayoutScanFilter(facts);
-    auto by_chunks = rel::Materialize(op_c.get(), "out");
-    auto t2 = std::chrono::steady_clock::now();
-    if (!by_rows.ok() || !by_chunks.ok() ||
-        by_rows->Fingerprint() != by_chunks->Fingerprint()) {
-      std::fprintf(stderr, "layout paths diverged\n");
+    auto op = rel::MakeFilter(rel::MakeSeqScan(facts), LayoutPredicate());
+    auto got = rel::Materialize(op.get(), "out");
+    if (!got.ok() || !want.ok() ||
+        got->Fingerprint() != want->Fingerprint()) {
+      std::fprintf(stderr, "columnar scan+filter diverged from the oracle\n");
       std::abort();
     }
-    row_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
-    col_ms += std::chrono::duration<double, std::milli>(t2 - t1).count();
-    out_rows = by_chunks->num_rows();
+    out_rows = got->num_rows();
+    benchmark::DoNotOptimize(out_rows);
   }
-  double iters = static_cast<double>(state.iterations());
-  state.counters["row_ms_per_iter"] = row_ms / iters;
-  state.counters["columnar_ms_per_iter"] = col_ms / iters;
-  state.counters["layout_speedup"] = col_ms > 0 ? row_ms / col_ms : 0.0;
   state.counters["out_rows"] = static_cast<double>(out_rows);
 }
 BENCHMARK(BM_LayoutScanFilter)

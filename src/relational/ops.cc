@@ -3,61 +3,140 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "relational/expr_vec.h"
 
 namespace kathdb::rel {
 
-Result<bool> Operator::NextChunk(Chunk* chunk) {
-  // Adapter for row-only operators: buffer up to kChunkRows Next() pulls
-  // into a private table and emit it as one dense chunk.
-  auto buf = std::make_shared<Table>(std::string(), output_schema());
-  Row row;
-  int64_t lid = 0;
-  while (buf->num_rows() < kChunkRows) {
-    KATHDB_ASSIGN_OR_RETURN(bool has, Next(&row, &lid));
-    if (!has) break;
-    buf->AppendRow(std::move(row), lid);
+namespace {
+
+/// Pulls every remaining chunk of the opened `op` into `out` in order
+/// (bulk column appends, lids carried).
+Status DrainInto(Operator* op, Table* out) {
+  Chunk chunk;
+  while (true) {
+    KATHDB_ASSIGN_OR_RETURN(bool has, op->NextChunk(&chunk));
+    if (!has) return Status::OK();
+    out->Reserve(out->num_rows() + chunk.size());
+    if (chunk.sel.empty()) {
+      out->AppendSlice(*chunk.table, chunk.begin, chunk.end);
+    } else {
+      out->AppendGather(*chunk.table, chunk.sel.data(), chunk.sel.size());
+    }
   }
-  if (buf->num_rows() == 0) return false;
-  chunk->begin = 0;
-  chunk->end = buf->num_rows();
-  chunk->sel.clear();
-  chunk->table = std::move(buf);
+}
+
+/// Table-relative rows of `chunk` in order: its selection vector (moved
+/// out of the chunk), or its dense window spelled out.
+std::vector<uint32_t> TakeRows(Chunk* chunk) {
+  if (!chunk->sel.empty()) return std::move(chunk->sel);
+  std::vector<uint32_t> rows(chunk->end - chunk->begin);
+  std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(chunk->begin));
+  return rows;
+}
+
+/// The seed/multiplier of the multiplicative row-hash fold over a row's
+/// key cells (group-by keys, DISTINCT rows).
+constexpr uint64_t kRowHashSeed = 0x9E3779B97F4A7C15ULL;
+constexpr uint64_t kRowHashMul = 1315423911ULL;
+/// Value::Null().Hash(), folded for cells of missing physical columns.
+constexpr uint64_t kNullValueHash = 0x6b617468ULL;
+
+/// One hash per physical row phys[i], folded over the cells of columns
+/// `cols`: h = h * kRowHashMul + HashAt(cell), one typed pass per column.
+void FoldRowHashes(const Table& t, const std::vector<uint32_t>& phys,
+                   const std::vector<size_t>& cols,
+                   std::vector<uint64_t>* hashes) {
+  hashes->assign(phys.size(), kRowHashSeed);
+  for (size_t c : cols) {
+    if (c < t.num_physical_columns()) {
+      t.column(c).FoldHashGather(phys.data(), phys.size(), kRowHashMul,
+                                 hashes->data());
+    } else {
+      for (uint64_t& h : *hashes) h = h * kRowHashMul + kNullValueHash;
+    }
+  }
+}
+
+/// Column `c` of `t`, or null when `t` stores no cells for it (such a
+/// column reads as all-NULL).
+const ColumnVector* PhysColumn(const Table& t, size_t c) {
+  return c < t.num_physical_columns() ? &t.column(c) : nullptr;
+}
+
+/// Value::operator== between physical cells a[i] and b[j] (a null column
+/// holds NULLs), unboxed when both columns share a typed encoding.
+bool CellsEqual(const ColumnVector* a, size_t i, const ColumnVector* b,
+                size_t j) {
+  bool a_null = a == nullptr || a->IsNull(i);
+  bool b_null = b == nullptr || b->IsNull(j);
+  if (a_null || b_null) return a_null && b_null;
+  if (a->encoding() == b->encoding()) {
+    switch (a->encoding()) {
+      case ColumnEncoding::kBool:
+        return a->BoolAt(i) == b->BoolAt(j);
+      case ColumnEncoding::kInt:
+        // Value::Compare ranks numerics as doubles.
+        return static_cast<double>(a->IntAt(i)) ==
+               static_cast<double>(b->IntAt(j));
+      case ColumnEncoding::kDouble: {
+        // Value::Compare ties NaN with every number.
+        double x = a->DoubleAt(i);
+        double y = b->DoubleAt(j);
+        return !(x < y) && !(x > y);
+      }
+      case ColumnEncoding::kDict:
+        return a->StrAt(i) == b->StrAt(j);
+      default:
+        break;
+    }
+  }
+  return a->Get(i) == b->Get(j);
+}
+
+/// Cell-by-cell Value equality of table-relative rows a[ra] and b[rb]
+/// (tables of equal width).
+bool RowsEqual(const Table& a, size_t ra, const Table& b, size_t rb) {
+  for (size_t c = 0; c < a.schema().num_columns(); ++c) {
+    if (!CellsEqual(PhysColumn(a, c), a.offset() + ra, PhysColumn(b, c),
+                    b.offset() + rb)) {
+      return false;
+    }
+  }
   return true;
 }
+
+/// Join output: left rows lsel[0..n) beside right rows rsel[0..n)
+/// (table-relative), carrying the left rows' lids.
+TablePtr JoinRows(const Schema& schema, const Table& left,
+                  const uint32_t* lsel, const Table& right,
+                  const uint32_t* rsel, size_t n) {
+  std::vector<ColumnPtr> cols;
+  cols.reserve(schema.num_columns());
+  auto gather = [&cols, n](const Table& side, const uint32_t* sel) {
+    for (size_t c = 0; c < side.schema().num_columns(); ++c) {
+      auto col = std::make_shared<ColumnVector>();
+      side.GatherColumn(c, sel, n, col.get());
+      cols.push_back(std::move(col));
+    }
+  };
+  gather(left, lsel);
+  gather(right, rsel);
+  std::vector<int64_t> lids(n);
+  for (size_t i = 0; i < n; ++i) lids[i] = left.row_lid(lsel[i]);
+  return std::make_shared<Table>(Table::FromColumns(
+      std::string(), schema, std::move(cols), std::move(lids)));
+}
+
+}  // namespace
 
 Result<Table> Materialize(Operator* op, const std::string& name) {
   KATHDB_RETURN_IF_ERROR(op->Open());
   Table out(name, op->output_schema());
-  Chunk chunk;
-  while (true) {
-    KATHDB_ASSIGN_OR_RETURN(bool has, op->NextChunk(&chunk));
-    if (!has) break;
-    out.Reserve(out.num_rows() + chunk.size());
-    if (chunk.sel.empty()) {
-      out.AppendSlice(*chunk.table, chunk.begin, chunk.end);
-    } else {
-      out.AppendGather(*chunk.table, chunk.sel.data(), chunk.sel.size());
-    }
-  }
-  op->Close();
-  return out;
-}
-
-Result<Table> MaterializeRows(Operator* op, const std::string& name) {
-  KATHDB_RETURN_IF_ERROR(op->Open());
-  Table out(name, op->output_schema());
-  Row row;
-  int64_t lid = 0;
-  while (true) {
-    KATHDB_ASSIGN_OR_RETURN(bool has, op->Next(&row, &lid));
-    if (!has) break;
-    out.AppendRow(row, lid);
-  }
+  KATHDB_RETURN_IF_ERROR(DrainInto(op, &out));
   op->Close();
   return out;
 }
@@ -73,13 +152,6 @@ class SeqScanOp : public Operator {
     pos_ = 0;
     return table_ == nullptr ? Status::InvalidArgument("null table scan")
                              : Status::OK();
-  }
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= table_->num_rows()) return false;
-    *row = table_->row(pos_);
-    *lid = table_->row_lid(pos_);
-    ++pos_;
-    return true;
   }
   Result<bool> NextChunk(Chunk* chunk) override {
     // Zero-copy: a chunk is a window over the scanned table itself.
@@ -109,15 +181,6 @@ class FilterOp : public Operator {
       : child_(std::move(child)), pred_(std::move(pred)) {}
 
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(row, lid));
-      if (!has) return false;
-      KATHDB_ASSIGN_OR_RETURN(Value v,
-                              pred_->Eval(*row, child_->output_schema()));
-      if (!v.is_null() && v.AsBool()) return true;
-    }
-  }
   Result<bool> NextChunk(Chunk* chunk) override {
     // Vectorized: evaluate the predicate over the child's chunk into a
     // selection vector; the chunk's table passes through untouched.
@@ -164,7 +227,7 @@ class ProjectOp : public Operator {
         exprs_(std::move(exprs)),
         names_(std::move(names)) {
     // Best-effort schema: column refs keep their input type; everything
-    // else starts as STRING and is refined from the first row at Open().
+    // else starts as STRING and is refined from the first produced row.
     for (size_t i = 0; i < exprs_.size(); ++i) {
       DataType t = DataType::kString;
       if (exprs_[i]->kind() == ExprKind::kColumnRef) {
@@ -179,58 +242,27 @@ class ProjectOp : public Operator {
 
   Status Open() override { return child_->Open(); }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    Row in;
-    KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(&in, lid));
-    if (!has) return false;
-    row->clear();
-    row->reserve(exprs_.size());
-    for (const auto& e : exprs_) {
-      KATHDB_ASSIGN_OR_RETURN(Value v, e->Eval(in, child_->output_schema()));
-      row->push_back(std::move(v));
-    }
-    if (!typed_) {
-      // Refine declared types from the first real row.
-      Schema refined;
-      for (size_t i = 0; i < row->size(); ++i) {
-        DataType t = (*row)[i].type();
-        refined.AddColumn(names_[i],
-                          t == DataType::kNull ? schema_.column(i).type : t);
-      }
-      schema_ = refined;
-      typed_ = true;
-    }
-    return true;
-  }
-
   Result<bool> NextChunk(Chunk* chunk) override {
     // Vectorized: evaluate every output expression column-at-a-time over
     // the child's chunk and assemble the output table from the columns.
     Chunk in;
     KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(&in));
     if (!has) return false;
-    std::vector<uint32_t> dense;
-    const uint32_t* sel = in.sel.data();
-    size_t n = in.sel.size();
-    if (in.sel.empty()) {
-      dense.resize(in.end - in.begin);
-      std::iota(dense.begin(), dense.end(), static_cast<uint32_t>(in.begin));
-      sel = dense.data();
-      n = dense.size();
-    }
+    std::vector<uint32_t> rows = TakeRows(&in);
+    const size_t n = rows.size();
     std::vector<ColumnPtr> cols;
     cols.reserve(exprs_.size());
     for (const auto& e : exprs_) {
       auto col = std::make_shared<ColumnVector>();
       col->Reserve(n);
-      KATHDB_RETURN_IF_ERROR(EvalExprVector(*e, *in.table, sel, n,
+      KATHDB_RETURN_IF_ERROR(EvalExprVector(*e, *in.table, rows.data(), n,
                                             col.get()));
       cols.push_back(std::move(col));
     }
     std::vector<int64_t> lids(n);
-    for (size_t i = 0; i < n; ++i) lids[i] = in.table->row_lid(sel[i]);
-    if (!typed_ && n > 0) {
-      // Same refinement rule as the row path, read from the columns.
+    for (size_t i = 0; i < n; ++i) lids[i] = in.table->row_lid(rows[i]);
+    if (!typed_) {
+      // Refine declared types from the first produced row.
       Schema refined;
       for (size_t i = 0; i < cols.size(); ++i) {
         DataType t = cols[i]->Get(0).type();
@@ -293,63 +325,71 @@ class HashJoinOp : public Operator {
       return Status::SyntacticError("hash join: left column '" + lcol_ +
                                     "' not found");
     }
-    // Build side: materialize the right input columnar (chunked bulk
-    // appends) and index build rows by the hash of their key cell — the
-    // hash table holds row indices, not copies of the rows.
-    build_table_ = Table(std::string(), right_->output_schema());
-    Chunk chunk;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, right_->NextChunk(&chunk));
-      if (!has) break;
-      build_table_.Reserve(build_table_.num_rows() + chunk.size());
-      if (chunk.sel.empty()) {
-        build_table_.AppendSlice(*chunk.table, chunk.begin, chunk.end);
-      } else {
-        build_table_.AppendGather(*chunk.table, chunk.sel.data(),
-                                  chunk.sel.size());
-      }
-    }
+    // Build side: materialize the right input columnar and index its rows
+    // by the hash of their key cell — the index holds row numbers, not
+    // copies of rows. NULL keys match nothing, so they are not indexed.
+    build_ = Table(std::string(), right_->output_schema());
+    KATHDB_RETURN_IF_ERROR(DrainInto(right_.get(), &build_));
     right_->Close();
-    build_.clear();
-    if (build_table_.num_rows() > 0 &&
-        *ridx_ < build_table_.num_physical_columns()) {
-      build_.reserve(build_table_.num_rows());
-      const ColumnVector& key = build_table_.column(*ridx_);
-      for (size_t r = 0; r < build_table_.num_rows(); ++r) {
-        build_[key.HashAt(r)].push_back(static_cast<uint32_t>(r));
+    index_.clear();
+    if (const ColumnVector* key = PhysColumn(build_, *ridx_)) {
+      index_.reserve(build_.num_rows());
+      for (size_t r = 0; r < build_.num_rows(); ++r) {
+        if (!key->IsNull(r)) {
+          index_[key->HashAt(r)].push_back(static_cast<uint32_t>(r));
+        }
       }
     }
-    match_pos_ = 0;
-    matches_ = nullptr;
+    lsel_.clear();
+    rsel_.clear();
+    next_ = 0;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    while (true) {
-      if (matches_ != nullptr && match_pos_ < matches_->size()) {
-        uint32_t r = (*matches_)[match_pos_++];
-        // Only emit genuine equals (hash collisions filtered here).
-        if (probe_row_[*lidx_] == build_table_.at(r, *ridx_)) {
-          *row = probe_row_;
-          Row rr = build_table_.row(r);
-          row->insert(row->end(), rr.begin(), rr.end());
-          *lid = probe_lid_;
-          return true;
-        }
-        continue;
-      }
-      KATHDB_ASSIGN_OR_RETURN(bool has, left_->Next(&probe_row_, &probe_lid_));
+  Result<bool> NextChunk(Chunk* chunk) override {
+    // Matches one probe chunk at a time into (probe row, build row)
+    // pairs, then emits them kChunkRows at a time.
+    while (next_ == lsel_.size()) {
+      Chunk in;
+      KATHDB_ASSIGN_OR_RETURN(bool has, left_->NextChunk(&in));
       if (!has) return false;
-      auto it = build_.find(probe_row_[*lidx_].Hash());
-      matches_ = it == build_.end() ? nullptr : &it->second;
-      match_pos_ = 0;
+      std::vector<uint32_t> rows = TakeRows(&in);
+      probe_ = std::move(in.table);
+      lsel_.clear();
+      rsel_.clear();
+      next_ = 0;
+      const ColumnVector* pkey = PhysColumn(*probe_, *lidx_);
+      const ColumnVector* bkey = PhysColumn(build_, *ridx_);
+      if (pkey == nullptr || index_.empty()) continue;
+      const size_t off = probe_->offset();
+      for (uint32_t r : rows) {
+        auto it = index_.find(pkey->HashAt(off + r));
+        if (it == index_.end()) continue;
+        for (uint32_t b : it->second) {
+          // Only genuine equals: hash collisions, and NULL probe keys
+          // (the build side indexes none), are filtered here.
+          if (CellsEqual(pkey, off + r, bkey, b)) {
+            lsel_.push_back(r);
+            rsel_.push_back(b);
+          }
+        }
+      }
     }
+    const size_t n = std::min(kChunkRows, lsel_.size() - next_);
+    chunk->table = JoinRows(schema_, *probe_, lsel_.data() + next_, build_,
+                            rsel_.data() + next_, n);
+    chunk->begin = 0;
+    chunk->end = n;
+    chunk->sel.clear();
+    next_ += n;
+    return true;
   }
 
   void Close() override {
     left_->Close();
-    build_.clear();
-    build_table_ = Table();
+    index_.clear();
+    build_ = Table();
+    probe_.reset();
   }
   const Schema& output_schema() const override { return schema_; }
   std::string Describe() const override {
@@ -364,12 +404,12 @@ class HashJoinOp : public Operator {
   Schema schema_;
   std::optional<size_t> lidx_;
   std::optional<size_t> ridx_;
-  Table build_table_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build_;
-  Row probe_row_;
-  int64_t probe_lid_ = 0;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  Table build_;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> index_;
+  TablePtr probe_;             // table of the probe chunk being emitted
+  std::vector<uint32_t> lsel_;  // its matched rows (table-relative) ...
+  std::vector<uint32_t> rsel_;  // ... and their build rows, pairwise
+  size_t next_ = 0;             // first pair not yet emitted
 };
 
 // --------------------------------------------------------- NestedLoopJoin
@@ -386,43 +426,59 @@ class NestedLoopJoinOp : public Operator {
   Status Open() override {
     KATHDB_RETURN_IF_ERROR(left_->Open());
     KATHDB_RETURN_IF_ERROR(right_->Open());
-    Row row;
-    int64_t lid = 0;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, right_->Next(&row, &lid));
-      if (!has) break;
-      right_rows_.push_back(row);
-    }
+    build_ = Table(std::string(), right_->output_schema());
+    KATHDB_RETURN_IF_ERROR(DrainInto(right_.get(), &build_));
     right_->Close();
-    rpos_ = right_rows_.size();  // force first left fetch
+    rows_.clear();
+    next_ = 0;
+    rpos_ = 0;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
+  Result<bool> NextChunk(Chunk* chunk) override {
+    // Walks the (left, right) pairs left-major in batches of kChunkRows
+    // and evaluates the predicate vectorized over each batch's
+    // concatenated rows.
+    const size_t m = build_.num_rows();
     while (true) {
-      if (rpos_ >= right_rows_.size()) {
-        KATHDB_ASSIGN_OR_RETURN(bool has,
-                                left_->Next(&probe_row_, &probe_lid_));
+      if (next_ == rows_.size()) {
+        Chunk in;
+        KATHDB_ASSIGN_OR_RETURN(bool has, left_->NextChunk(&in));
         if (!has) return false;
+        rows_ = TakeRows(&in);
+        probe_ = std::move(in.table);
+        next_ = m == 0 ? rows_.size() : 0;  // no right rows: no pairs
         rpos_ = 0;
+        continue;
       }
-      while (rpos_ < right_rows_.size()) {
-        Row joined = probe_row_;
-        const Row& r = right_rows_[rpos_++];
-        joined.insert(joined.end(), r.begin(), r.end());
-        KATHDB_ASSIGN_OR_RETURN(Value v, pred_->Eval(joined, schema_));
-        if (!v.is_null() && v.AsBool()) {
-          *row = std::move(joined);
-          *lid = probe_lid_;
-          return true;
+      std::vector<uint32_t> lsel;
+      std::vector<uint32_t> rsel;
+      while (lsel.size() < kChunkRows && next_ < rows_.size()) {
+        lsel.push_back(rows_[next_]);
+        rsel.push_back(static_cast<uint32_t>(rpos_));
+        if (++rpos_ == m) {
+          rpos_ = 0;
+          ++next_;
         }
       }
+      TablePtr pairs = JoinRows(schema_, *probe_, lsel.data(), build_,
+                                rsel.data(), lsel.size());
+      std::vector<uint32_t> keep;
+      KATHDB_RETURN_IF_ERROR(
+          EvalPredicateSelect(*pred_, *pairs, 0, pairs->num_rows(), &keep));
+      if (keep.empty()) continue;
+      chunk->begin = 0;
+      chunk->end = pairs->num_rows();
+      chunk->table = std::move(pairs);
+      chunk->sel = std::move(keep);
+      return true;
     }
   }
 
   void Close() override {
     left_->Close();
-    right_rows_.clear();
+    build_ = Table();
+    probe_.reset();
   }
   const Schema& output_schema() const override { return schema_; }
   std::string Describe() const override {
@@ -434,17 +490,18 @@ class NestedLoopJoinOp : public Operator {
   OperatorPtr right_;
   ExprPtr pred_;
   Schema schema_;
-  std::vector<Row> right_rows_;
-  Row probe_row_;
-  int64_t probe_lid_ = 0;
-  size_t rpos_ = 0;
+  Table build_;
+  TablePtr probe_;             // table of the left chunk being joined
+  std::vector<uint32_t> rows_;  // its rows (table-relative)
+  size_t next_ = 0;             // current left row, index into rows_
+  size_t rpos_ = 0;             // next right row to pair it with
 };
 
 // -------------------------------------------------------------- Aggregate
 
-/// Output schema shared by both aggregate kernels: group columns keep
-/// their input type, COUNT is INT, SUM/AVG are DOUBLE, MIN/MAX keep the
-/// input column's declared type.
+/// Aggregate output schema: group columns keep their input type, COUNT
+/// is INT, SUM/AVG are DOUBLE, MIN/MAX keep the input column's declared
+/// type.
 Schema AggOutputSchema(const Schema& in,
                        const std::vector<std::string>& group_cols,
                        const std::vector<AggSpec>& aggs) {
@@ -466,8 +523,7 @@ Schema AggOutputSchema(const Schema& in,
   return schema;
 }
 
-/// Resolves group/aggregate input columns against the child schema; both
-/// kernels fail with identical messages.
+/// Resolves group/aggregate input columns against the child schema.
 Status ResolveAggColumns(const Schema& in,
                          const std::vector<std::string>& group_cols,
                          const std::vector<AggSpec>& aggs,
@@ -495,145 +551,7 @@ Status ResolveAggColumns(const Schema& in,
   return Status::OK();
 }
 
-/// The seed/multiplier of the multiplicative group-key hash fold. Both
-/// kernels key groups purely on this 64-bit hash (first-seen order), so
-/// they agree bit-for-bit — including on the astronomically unlikely
-/// collision that would merge two groups.
-constexpr uint64_t kGroupHashSeed = 0x9E3779B97F4A7C15ULL;
-constexpr uint64_t kGroupHashMul = 1315423911ULL;
-/// Value::Null().Hash(), folded for group keys on missing columns.
-constexpr uint64_t kNullValueHash = 0x6b617468ULL;
-
-class RowAggregateOp : public Operator {
- public:
-  RowAggregateOp(OperatorPtr child, std::vector<std::string> group_cols,
-                 std::vector<AggSpec> aggs)
-      : child_(std::move(child)),
-        group_cols_(std::move(group_cols)),
-        aggs_(std::move(aggs)),
-        schema_(AggOutputSchema(child_->output_schema(), group_cols_,
-                                aggs_)) {}
-
-  Status Open() override {
-    KATHDB_RETURN_IF_ERROR(child_->Open());
-    const Schema& in = child_->output_schema();
-    std::vector<size_t> gidx;
-    std::vector<std::optional<size_t>> aidx;
-    KATHDB_RETURN_IF_ERROR(
-        ResolveAggColumns(in, group_cols_, aggs_, &gidx, &aidx));
-
-    struct AggState {
-      int64_t count = 0;
-      double sum = 0.0;
-      Value min, max;
-      bool seen = false;
-    };
-    struct GroupState {
-      Row key;
-      std::vector<AggState> states;
-    };
-    std::unordered_map<uint64_t, GroupState> groups;
-    std::vector<uint64_t> order;
-
-    Row row;
-    int64_t lid = 0;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(&row, &lid));
-      if (!has) break;
-      uint64_t h = 0x9E3779B97F4A7C15ULL;
-      Row key;
-      for (size_t gi : gidx) {
-        key.push_back(row[gi]);
-        h = h * 1315423911ULL + row[gi].Hash();
-      }
-      auto it = groups.find(h);
-      if (it == groups.end()) {
-        GroupState gs;
-        gs.key = key;
-        gs.states.resize(aggs_.size());
-        it = groups.emplace(h, std::move(gs)).first;
-        order.push_back(h);
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        AggState& st = it->second.states[i];
-        ++st.count;
-        if (aidx[i].has_value()) {
-          const Value& v = row[*aidx[i]];
-          if (!v.is_null()) {
-            st.sum += v.AsDouble();
-            if (!st.seen || v.Compare(st.min) < 0) st.min = v;
-            if (!st.seen || v.Compare(st.max) > 0) st.max = v;
-            st.seen = true;
-          }
-        }
-      }
-    }
-    child_->Close();
-
-    // Global aggregate over empty input still yields one row.
-    if (groups.empty() && group_cols_.empty()) {
-      GroupState gs;
-      gs.states.resize(aggs_.size());
-      groups.emplace(0, std::move(gs));
-      order.push_back(0);
-    }
-
-    for (uint64_t h : order) {
-      GroupState& gs = groups[h];
-      Row out = gs.key;
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        const AggState& st = gs.states[i];
-        switch (aggs_[i].fn) {
-          case AggFn::kCount:
-            out.push_back(Value::Int(st.count));
-            break;
-          case AggFn::kSum:
-            out.push_back(Value::Double(st.sum));
-            break;
-          case AggFn::kAvg:
-            out.push_back(st.count == 0
-                              ? Value::Null()
-                              : Value::Double(st.sum /
-                                              static_cast<double>(st.count)));
-            break;
-          case AggFn::kMin:
-            out.push_back(st.seen ? st.min : Value::Null());
-            break;
-          case AggFn::kMax:
-            out.push_back(st.seen ? st.max : Value::Null());
-            break;
-        }
-      }
-      results_.push_back(std::move(out));
-    }
-    pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= results_.size()) return false;
-    *row = results_[pos_++];
-    *lid = 0;  // wide dependency: table-level lineage only (Section 3)
-    return true;
-  }
-
-  void Close() override { results_.clear(); }
-  const Schema& output_schema() const override { return schema_; }
-  std::string Describe() const override {
-    return "Aggregate(groups=" + std::to_string(group_cols_.size()) +
-           ", aggs=" + std::to_string(aggs_.size()) + ")";
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<std::string> group_cols_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-  std::vector<Row> results_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------- Aggregate (columnar kernel)
+// ----------------------------------------------------------------- Kernels
 
 /// Open-addressing linear-probe map from 64-bit group hash to dense group
 /// id: two flat arrays, power-of-two capacity, <= 50% load — the
@@ -691,8 +609,7 @@ class GroupIndex {
 /// matching the input column's encoding, demoted to boxed Values only
 /// when a column genuinely mixes types. Replacement uses the exact
 /// Value::Compare ordering (numerics compare as doubles, strict compare
-/// keeps the first value on ties) so results match the row kernel
-/// bit-for-bit.
+/// keeps the first value on ties).
 struct MinMaxAcc {
   ColumnEncoding mode = ColumnEncoding::kEmpty;  // active storage
   std::vector<uint8_t> seen;
@@ -766,9 +683,9 @@ struct MinMaxAcc {
 };
 
 /// sums[gid[i]] += AsDouble(col[phys[i]]) for non-NULL cells, in row
-/// order — FP accumulation order matches the row kernel exactly, so the
-/// resulting doubles are bit-identical. Strings coerce to 0.0 (kDict is a
-/// no-op) and kEmpty columns are all NULL.
+/// order, so the floating-point accumulation order is the input order.
+/// Strings coerce to 0.0 (kDict is a no-op) and kEmpty columns are all
+/// NULL.
 void AccumulateSum(const ColumnVector& col, const std::vector<uint32_t>& phys,
                    const std::vector<uint32_t>& gid, double* sums) {
   const size_t n = phys.size();
@@ -834,7 +751,7 @@ void AccumulateMinMax(const ColumnVector& col,
     case ColumnEncoding::kInt: {
       // Replacement is a strict *double* comparison — exactly
       // Value::Compare — so large-int64 precision ties keep the first
-      // value, as the row kernel does.
+      // value.
       int64_t* cur = acc->i64.data();
       for (size_t i = 0; i < n; ++i) {
         uint32_t p = phys[i];
@@ -893,10 +810,10 @@ void AccumulateMinMax(const ColumnVector& col,
   }
 }
 
-class ColumnarAggregateOp : public Operator {
+class AggregateOp : public Operator {
  public:
-  ColumnarAggregateOp(OperatorPtr child, std::vector<std::string> group_cols,
-                      std::vector<AggSpec> aggs)
+  AggregateOp(OperatorPtr child, std::vector<std::string> group_cols,
+              std::vector<AggSpec> aggs)
       : child_(std::move(child)),
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
@@ -925,40 +842,22 @@ class ColumnarAggregateOp : public Operator {
 
     Chunk chunk;
     std::vector<uint64_t> hashes;
-    std::vector<uint32_t> phys;
     std::vector<uint32_t> gid;
     std::vector<uint32_t> new_rows;
     while (true) {
       KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(&chunk));
       if (!has) break;
       const Table& t = *chunk.table;
-      const size_t off = t.offset();
-      const size_t n = chunk.size();
       // Physical row index per chunk position, shared by every pass.
-      phys.resize(n);
-      if (chunk.sel.empty()) {
-        for (size_t i = 0; i < n; ++i) {
-          phys[i] = static_cast<uint32_t>(off + chunk.begin + i);
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          phys[i] = static_cast<uint32_t>(off + chunk.sel[i]);
-        }
-      }
-      // Multi-column group hash: one typed fold pass per key column.
-      hashes.assign(n, kGroupHashSeed);
-      for (size_t k = 0; k < gidx.size(); ++k) {
-        if (gidx[k] < t.num_physical_columns()) {
-          t.column(gidx[k]).FoldHashGather(phys.data(), n, kGroupHashMul,
-                                           hashes.data());
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            hashes[i] = hashes[i] * kGroupHashMul + kNullValueHash;
-          }
-        }
-      }
+      std::vector<uint32_t> phys = TakeRows(&chunk);
+      for (uint32_t& p : phys) p += static_cast<uint32_t>(t.offset());
+      const size_t n = phys.size();
+      // Groups are keyed purely on the folded hash of their key cells:
+      // two key tuples whose hashes collide (astronomically unlikely)
+      // share a group.
+      FoldRowHashes(t, phys, gidx, &hashes);
       // Group-id pass; rows that created a group gather their key cells
-      // in bulk below (first-seen order, like the row kernel).
+      // in bulk below (first-seen order).
       gid.resize(n);
       new_rows.clear();
       for (size_t i = 0; i < n; ++i) {
@@ -1034,14 +933,6 @@ class ColumnarAggregateOp : public Operator {
         BuildOutput(ngroups, std::move(key_cols), counts, sums, extrema));
     pos_ = 0;
     return Status::OK();
-  }
-
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (result_ == nullptr || pos_ >= result_->num_rows()) return false;
-    *row = result_->row(pos_);
-    *lid = 0;  // wide dependency: table-level lineage only (Section 3)
-    ++pos_;
-    return true;
   }
 
   Result<bool> NextChunk(Chunk* chunk) override {
@@ -1126,8 +1017,7 @@ class ColumnarAggregateOp : public Operator {
         return ColumnVector::FromDoubles(acc.f64, std::move(bits));
       case ColumnEncoding::kDict:
       case ColumnEncoding::kMixed: {
-        // Boxed assembly: one cell per group, same appends as the row
-        // kernel so the output encoding matches it too.
+        // Boxed assembly: one cell per group.
         auto col = std::make_shared<ColumnVector>();
         col->Reserve(ngroups);
         for (uint32_t g = 0; g < ngroups; ++g) {
@@ -1156,72 +1046,6 @@ class ColumnarAggregateOp : public Operator {
 };
 
 // ------------------------------------------------------------------- Sort
-class RowSortOp : public Operator {
- public:
-  RowSortOp(OperatorPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
-
-  Status Open() override {
-    KATHDB_RETURN_IF_ERROR(child_->Open());
-    const Schema& in = child_->output_schema();
-    std::vector<std::pair<size_t, bool>> kidx;
-    for (const auto& k : keys_) {
-      auto idx = in.IndexOf(k.column);
-      if (!idx.has_value()) {
-        return Status::SyntacticError("sort by unknown column '" + k.column +
-                                      "'");
-      }
-      kidx.emplace_back(*idx, k.descending);
-    }
-    Row row;
-    int64_t lid = 0;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(&row, &lid));
-      if (!has) break;
-      rows_.emplace_back(std::move(row), lid);
-    }
-    child_->Close();
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [&](const auto& a, const auto& b) {
-                       for (const auto& [idx, desc] : kidx) {
-                         int c = a.first[idx].Compare(b.first[idx]);
-                         if (c != 0) return desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-    pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_].first;
-    *lid = rows_[pos_].second;
-    ++pos_;
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string Describe() const override {
-    std::string out = "Sort(";
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += keys_[i].column + (keys_[i].descending ? " DESC" : " ASC");
-    }
-    return out + ")";
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<SortKey> keys_;
-  std::vector<std::pair<Row, int64_t>> rows_;
-  size_t pos_ = 0;
-};
-
-// --------------------------------------------------- Sort (columnar kernel)
 
 /// One resolved sort key over the gathered input: typed comparator state.
 /// Dictionary columns compare by precomputed code rank — one string sort
@@ -1325,9 +1149,9 @@ uint64_t PackSortKey(const SortKeyCol& k, size_t p) {
   }
 }
 
-class ColumnarSortOp : public Operator {
+class SortOp : public Operator {
  public:
-  ColumnarSortOp(OperatorPtr child, std::vector<SortKey> keys)
+  SortOp(OperatorPtr child, std::vector<SortKey> keys)
       : child_(std::move(child)), keys_(std::move(keys)) {}
 
   Status Open() override {
@@ -1346,18 +1170,7 @@ class ColumnarSortOp : public Operator {
     // permutation: rows are never boxed and never move until a consumer
     // gathers the permutation out.
     input_ = std::make_shared<Table>(std::string(), in);
-    Chunk chunk;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(&chunk));
-      if (!has) break;
-      input_->Reserve(input_->num_rows() + chunk.size());
-      if (chunk.sel.empty()) {
-        input_->AppendSlice(*chunk.table, chunk.begin, chunk.end);
-      } else {
-        input_->AppendGather(*chunk.table, chunk.sel.data(),
-                             chunk.sel.size());
-      }
-    }
+    KATHDB_RETURN_IF_ERROR(DrainInto(child_.get(), input_.get()));
     child_->Close();
     const size_t n = input_->num_rows();
     perm_.resize(n);
@@ -1471,14 +1284,6 @@ class ColumnarSortOp : public Operator {
     return true;
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= perm_.size()) return false;
-    *row = input_->row(perm_[pos_]);
-    *lid = input_->row_lid(perm_[pos_]);
-    ++pos_;
-    return true;
-  }
-
   Result<bool> NextChunk(Chunk* chunk) override {
     // Zero extra materialization: chunks are selection-vector windows of
     // the permutation over the gathered input; AppendGather carries the
@@ -1527,11 +1332,18 @@ class LimitOp : public Operator {
     emitted_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Row* row, int64_t* lid) override {
+  Result<bool> NextChunk(Chunk* chunk) override {
+    // Passes chunks through, cutting the one that reaches the limit.
     if (emitted_ >= limit_) return false;
-    KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(row, lid));
+    KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(chunk));
     if (!has) return false;
-    ++emitted_;
+    const size_t take = std::min(chunk->size(), limit_ - emitted_);
+    if (chunk->sel.empty()) {
+      chunk->end = chunk->begin + take;
+    } else {
+      chunk->sel.resize(take);
+    }
+    emitted_ += take;
     return true;
   }
   void Close() override { child_->Close(); }
@@ -1554,22 +1366,55 @@ class DistinctOp : public Operator {
   explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
 
   Status Open() override {
-    seen_.clear();
+    const size_t width = child_->output_schema().num_columns();
+    cols_.resize(width);
+    std::iota(cols_.begin(), cols_.end(), size_t{0});
+    kept_ = Table(std::string(), child_->output_schema());
+    buckets_.clear();
     return child_->Open();
   }
-  Result<bool> Next(Row* row, int64_t* lid) override {
+  Result<bool> NextChunk(Chunk* chunk) override {
+    // Rows are bucketed by the hash of all their cells; a bucket hit is
+    // confirmed cell by cell, so distinct rows never merge. The chunk's
+    // table passes through with a selection vector of first occurrences.
     while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(row, lid));
+      Chunk in;
+      KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(&in));
       if (!has) return false;
-      std::string key;
-      for (const auto& v : *row) {
-        key += v.ToString();
-        key += '\x01';
+      const Table& t = *in.table;
+      std::vector<uint32_t> rows = TakeRows(&in);
+      std::vector<uint32_t> phys = rows;
+      for (uint32_t& p : phys) p += static_cast<uint32_t>(t.offset());
+      std::vector<uint64_t> hashes;
+      FoldRowHashes(t, phys, cols_, &hashes);
+      // Bucket entries number kept rows: below `base` they live in kept_,
+      // from `base` on they are this chunk's keep[k - base].
+      const size_t base = kept_.num_rows();
+      std::vector<uint32_t> keep;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        std::vector<uint32_t>& bucket = buckets_[hashes[i]];
+        bool dup = std::any_of(bucket.begin(), bucket.end(), [&](uint32_t k) {
+          return k < base ? RowsEqual(kept_, k, t, rows[i])
+                          : RowsEqual(t, keep[k - base], t, rows[i]);
+        });
+        if (dup) continue;
+        bucket.push_back(static_cast<uint32_t>(base + keep.size()));
+        keep.push_back(rows[i]);
       }
-      if (seen_.insert(key).second) return true;
+      if (keep.empty()) continue;
+      kept_.AppendGather(t, keep.data(), keep.size());
+      chunk->table = std::move(in.table);
+      chunk->begin = in.begin;
+      chunk->end = in.end;
+      chunk->sel = std::move(keep);
+      return true;
     }
   }
-  void Close() override { child_->Close(); }
+  void Close() override {
+    child_->Close();
+    kept_ = Table();
+    buckets_.clear();
+  }
   const Schema& output_schema() const override {
     return child_->output_schema();
   }
@@ -1577,48 +1422,9 @@ class DistinctOp : public Operator {
 
  private:
   OperatorPtr child_;
-  std::unordered_set<std::string> seen_;
-};
-
-// --------------------------------------------------------------- UnionAll
-class UnionAllOp : public Operator {
- public:
-  UnionAllOp(OperatorPtr left, OperatorPtr right)
-      : left_(std::move(left)), right_(std::move(right)) {}
-
-  Status Open() override {
-    if (!(left_->output_schema() == right_->output_schema())) {
-      return Status::SyntacticError("UNION ALL schema mismatch: " +
-                                    left_->output_schema().ToString() +
-                                    " vs " +
-                                    right_->output_schema().ToString());
-    }
-    KATHDB_RETURN_IF_ERROR(left_->Open());
-    KATHDB_RETURN_IF_ERROR(right_->Open());
-    on_left_ = true;
-    return Status::OK();
-  }
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (on_left_) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, left_->Next(row, lid));
-      if (has) return true;
-      on_left_ = false;
-    }
-    return right_->Next(row, lid);
-  }
-  void Close() override {
-    left_->Close();
-    right_->Close();
-  }
-  const Schema& output_schema() const override {
-    return left_->output_schema();
-  }
-  std::string Describe() const override { return "UnionAll"; }
-
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  bool on_left_ = true;
+  std::vector<size_t> cols_;  // every column: rows compare whole
+  Table kept_;                // first occurrences seen so far
+  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
 };
 
 }  // namespace
@@ -1650,31 +1456,18 @@ OperatorPtr MakeNestedLoopJoin(OperatorPtr left, OperatorPtr right,
 }
 OperatorPtr MakeAggregate(OperatorPtr child,
                           std::vector<std::string> group_cols,
-                          std::vector<AggSpec> aggs, ExecImpl impl) {
-  if (impl == ExecImpl::kRow) {
-    return std::make_unique<RowAggregateOp>(std::move(child),
-                                            std::move(group_cols),
-                                            std::move(aggs));
-  }
-  return std::make_unique<ColumnarAggregateOp>(std::move(child),
-                                               std::move(group_cols),
-                                               std::move(aggs));
+                          std::vector<AggSpec> aggs) {
+  return std::make_unique<AggregateOp>(std::move(child), std::move(group_cols),
+                                       std::move(aggs));
 }
-OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys,
-                     ExecImpl impl) {
-  if (impl == ExecImpl::kRow) {
-    return std::make_unique<RowSortOp>(std::move(child), std::move(keys));
-  }
-  return std::make_unique<ColumnarSortOp>(std::move(child), std::move(keys));
+OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys) {
+  return std::make_unique<SortOp>(std::move(child), std::move(keys));
 }
 OperatorPtr MakeLimit(OperatorPtr child, size_t limit) {
   return std::make_unique<LimitOp>(std::move(child), limit);
 }
 OperatorPtr MakeDistinct(OperatorPtr child) {
   return std::make_unique<DistinctOp>(std::move(child));
-}
-OperatorPtr MakeUnionAll(OperatorPtr left, OperatorPtr right) {
-  return std::make_unique<UnionAllOp>(std::move(left), std::move(right));
 }
 
 }  // namespace kathdb::rel

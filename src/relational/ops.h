@@ -1,5 +1,5 @@
 /// \file ops.h
-/// \brief Volcano-style physical operators over in-memory tables.
+/// \brief Vectorized physical operators over in-memory columnar tables.
 ///
 /// These are KathDB's classical relational operators. FAO function bodies
 /// of kind "SQL sub-query" lower to trees of these operators; the optimizer
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,25 +37,20 @@ struct Chunk {
 /// working set of a chunk stays cache-resident).
 inline constexpr size_t kChunkRows = 2048;
 
-/// \brief Pull-based operator interface: Open / Next / Close.
+/// \brief Pull-based operator interface: Open / NextChunk / Close.
 ///
-/// Operators expose two pull granularities: row-at-a-time Next() (the
-/// classical volcano contract, kept for joins/aggregates and as the
-/// differential-testing reference) and NextChunk(), which produces a
-/// batch of rows at once. Scan, filter and project implement NextChunk
-/// natively (columnar, no per-row Value materialization); every other
-/// operator inherits an adapter that builds chunks from Next() pulls.
+/// Execution is vector-at-a-time (after MonetDB/X100): every NextChunk()
+/// pull yields up to kChunkRows rows as a window or selection vector over
+/// a shared columnar table, so predicates, join probes and group-bys run
+/// as loops over typed column arrays instead of one call per row.
 class Operator {
  public:
   virtual ~Operator() = default;
 
   virtual Status Open() = 0;
-  /// Produces the next row into *row (and its lineage id into *lid, 0 when
-  /// untracked). Returns false when exhausted.
-  virtual Result<bool> Next(Row* row, int64_t* lid) = 0;
   /// Produces the next batch of rows. Returns false when exhausted; never
-  /// produces an empty chunk. Default implementation adapts Next().
-  virtual Result<bool> NextChunk(Chunk* chunk);
+  /// produces an empty chunk.
+  virtual Result<bool> NextChunk(Chunk* chunk) = 0;
   virtual void Close() = 0;
 
   /// Output schema, valid after construction.
@@ -69,13 +63,8 @@ class Operator {
 using OperatorPtr = std::unique_ptr<Operator>;
 
 /// Runs an operator tree to completion into a named table, consuming
-/// chunks (bulk column appends; the fast path).
+/// chunks with bulk column appends.
 Result<Table> Materialize(Operator* op, const std::string& name);
-
-/// Row-at-a-time reference implementation of Materialize. Kept as the
-/// baseline the differential tests (and benchmarks) compare the chunked
-/// path against; produces byte-identical tables.
-Result<Table> MaterializeRows(Operator* op, const std::string& name);
 
 /// Leaf scan over a materialized table.
 OperatorPtr MakeSeqScan(TablePtr table);
@@ -89,12 +78,16 @@ OperatorPtr MakeProject(OperatorPtr child, std::vector<ExprPtr> exprs,
                         std::vector<std::string> names);
 
 /// Equi-join: builds a hash table on `right_col` of the right input and
-/// probes with `left_col`. Output schema is Concat(left, right, right name).
+/// probes with `left_col`. Keys match by Value equality; a NULL key on
+/// either side matches nothing (SQL `NULL = NULL` is not true). Output
+/// rows follow probe order, then build order, and carry the probe row's
+/// lid. Output schema is Concat(left, right, right name).
 OperatorPtr MakeHashJoin(OperatorPtr left, OperatorPtr right,
                          std::string left_col, std::string right_col,
                          std::string right_prefix = "r");
 
-/// General theta-join evaluated over the concatenated row.
+/// General theta-join: `predicate` is evaluated over the concatenated
+/// (left, right) rows. Output order and lids as for MakeHashJoin.
 OperatorPtr MakeNestedLoopJoin(OperatorPtr left, OperatorPtr right,
                                ExprPtr predicate,
                                std::string right_prefix = "r");
@@ -109,39 +102,30 @@ struct AggSpec {
   std::string output_name;
 };
 
-/// Kernel selector for operators that keep two implementations: the
-/// chunk-native columnar kernel (default — typed accumulator arrays, no
-/// per-row Value boxing) and the original row-at-a-time path, retained as
-/// the reference the differential tests and benchmarks compare against.
-enum class ExecImpl { kColumnar, kRow };
-
 /// Hash aggregation grouped by `group_cols` (may be empty = global).
-/// Groups are keyed by a 64-bit hash of the key cells (first-seen output
-/// order); both kernels produce byte-identical tables.
+/// Groups are keyed by a 64-bit hash of the key cells and emitted in
+/// first-seen order; output rows carry no lid (wide dependency).
 OperatorPtr MakeAggregate(OperatorPtr child,
                           std::vector<std::string> group_cols,
-                          std::vector<AggSpec> aggs,
-                          ExecImpl impl = ExecImpl::kColumnar);
+                          std::vector<AggSpec> aggs);
 
 struct SortKey {
   std::string column;
   bool descending = false;
 };
 
-/// Blocking stable sort. The columnar kernel sorts an index permutation
-/// over the materialized input with typed key comparators (dictionary
-/// columns compare by precomputed code rank) and streams the permutation
-/// out as selection-vector chunks; the row kernel stable-sorts boxed rows.
-OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys,
-                     ExecImpl impl = ExecImpl::kColumnar);
+/// Blocking stable sort in Value::Compare order. Sorts an index
+/// permutation over the materialized input with typed key comparators
+/// (dictionary columns compare by precomputed code rank) and streams the
+/// permutation out as selection-vector chunks.
+OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys);
 
 /// Emits at most `limit` rows.
 OperatorPtr MakeLimit(OperatorPtr child, size_t limit);
 
-/// Removes duplicate rows (all columns).
+/// Removes duplicate rows, keeping each row's first occurrence (and its
+/// lid). Rows are duplicates when every cell pair is equal under
+/// Value::operator== (so 0.0 equals -0.0 and NULL equals NULL).
 OperatorPtr MakeDistinct(OperatorPtr child);
-
-/// Concatenates two inputs with identical schemas.
-OperatorPtr MakeUnionAll(OperatorPtr left, OperatorPtr right);
 
 }  // namespace kathdb::rel

@@ -1,29 +1,29 @@
 /// \file agg_sort_test.cc
 /// \brief Differential tests: the columnar aggregate/sort kernels against
-/// the retained row-at-a-time reference implementations.
+/// the row-at-a-time oracle (row_oracle.h).
 ///
-/// Every case runs the SAME logical plan four ways — {row kernel,
-/// columnar kernel} x {MaterializeRows, Materialize} — and requires all
-/// four tables to be byte-identical: schema, cells with their exact
-/// types, lineage ids, fingerprints. The shapes sweep key/input types
-/// (int, double, dictionary string, bool, type-mixed), NULLs in keys and
-/// aggregate inputs, hash-collision-prone multi-key groupings, global
-/// aggregates over empty and non-empty inputs, multi-chunk inputs (past
-/// kChunkRows), zero-copy view inputs, NaN sort keys and stable-sort
-/// ties. Error paths must match too, message for message.
+/// Every case runs one logical plan through the operator and through the
+/// oracle and requires the two tables to be byte-identical: schema, cells
+/// with their exact types, lineage ids, fingerprints. The shapes sweep
+/// key/input types (int, double, dictionary string, bool, type-mixed),
+/// NULLs in keys and aggregate inputs, hash-collision-prone multi-key
+/// groupings, global aggregates over empty and non-empty inputs,
+/// multi-chunk inputs (past kChunkRows), zero-copy view inputs, NaN sort
+/// keys and stable-sort ties. Error paths must match too, message for
+/// message.
 
 #include "relational/ops.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "relational/table.h"
+#include "row_oracle.h"
 
 namespace kathdb::rel {
 namespace {
@@ -45,37 +45,33 @@ void ExpectIdentical(const Table& a, const Table& b, const char* label) {
   }
 }
 
-using PlanFn = std::function<OperatorPtr(TablePtr, ExecImpl)>;
-
-/// Runs `make` four ways and requires one identical answer.
-void ExpectFourWayIdentical(const TablePtr& input, const PlanFn& make) {
-  auto run = [&](ExecImpl impl, bool chunked) {
-    auto op = make(input, impl);
-    auto r = chunked ? Materialize(op.get(), "out")
-                     : MaterializeRows(op.get(), "out");
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? std::move(*r) : Table();
-  };
-  Table row_rows = run(ExecImpl::kRow, false);
-  Table row_chunked = run(ExecImpl::kRow, true);
-  Table col_rows = run(ExecImpl::kColumnar, false);
-  Table col_chunked = run(ExecImpl::kColumnar, true);
-  ExpectIdentical(row_rows, row_chunked, "row kernel rows-vs-chunked");
-  ExpectIdentical(row_rows, col_rows, "row-vs-columnar (row pull)");
-  ExpectIdentical(row_rows, col_chunked, "row-vs-columnar (chunked pull)");
+/// Requires the operator's table and the oracle's to be one answer.
+void ExpectSame(const Result<Table>& got, const Result<Table>& want) {
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectIdentical(*want, *got, "operator vs oracle");
 }
 
-PlanFn AggPlan(std::vector<std::string> groups, std::vector<AggSpec> aggs) {
-  return [groups = std::move(groups), aggs = std::move(aggs)](
-             TablePtr t, ExecImpl impl) {
-    return MakeAggregate(MakeSeqScan(std::move(t)), groups, aggs, impl);
-  };
+void ExpectAggMatchesOracle(const TablePtr& input,
+                            const std::vector<std::string>& groups,
+                            const std::vector<AggSpec>& aggs) {
+  auto op = MakeAggregate(MakeSeqScan(input), groups, aggs);
+  ExpectSame(Materialize(op.get(), "out"),
+             oracle::Aggregate(*input, groups, aggs));
 }
 
-PlanFn SortPlan(std::vector<SortKey> keys) {
-  return [keys = std::move(keys)](TablePtr t, ExecImpl impl) {
-    return MakeSort(MakeSeqScan(std::move(t)), keys, impl);
-  };
+void ExpectSortMatchesOracle(const TablePtr& input,
+                             const std::vector<SortKey>& keys) {
+  auto op = MakeSort(MakeSeqScan(input), keys);
+  ExpectSame(Materialize(op.get(), "out"), oracle::Sort(*input, keys));
+}
+
+/// Requires `op` to fail with exactly the oracle's error.
+void ExpectSameError(OperatorPtr op, const Result<Table>& want) {
+  auto got = Materialize(op.get(), "out");
+  ASSERT_FALSE(want.ok());
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().ToString(), want.status().ToString());
 }
 
 /// Deterministic table with every column flavor; rows % kChunkRows != 0
@@ -125,35 +121,31 @@ std::vector<AggSpec> AllAggs(const std::string& col) {
 // Aggregate differentials
 
 TEST(AggDifferential, IntKeyAllAggsOverDouble) {
-  ExpectFourWayIdentical(MakeWideTable(999), AggPlan({"k_int"},
-                                                     AllAggs("v_dbl")));
+  ExpectAggMatchesOracle(MakeWideTable(999), {"k_int"}, AllAggs("v_dbl"));
 }
 
 TEST(AggDifferential, DictKeyAllAggsOverInt) {
-  ExpectFourWayIdentical(MakeWideTable(999), AggPlan({"k_str"},
-                                                     AllAggs("v_int")));
+  ExpectAggMatchesOracle(MakeWideTable(999), {"k_str"}, AllAggs("v_int"));
 }
 
 TEST(AggDifferential, BoolKeyAllAggsOverString) {
   // SUM/AVG over strings reproduce the row semantics (strings coerce to
   // 0.0); MIN/MAX compare lexicographically.
-  ExpectFourWayIdentical(MakeWideTable(999), AggPlan({"k_bool"},
-                                                     AllAggs("v_str")));
+  ExpectAggMatchesOracle(MakeWideTable(999), {"k_bool"}, AllAggs("v_str"));
 }
 
 TEST(AggDifferential, MultiKeyGrouping) {
-  ExpectFourWayIdentical(
-      MakeWideTable(999),
-      AggPlan({"k_str", "k_int", "k_bool"}, AllAggs("v_dbl")));
+  ExpectAggMatchesOracle(MakeWideTable(999), {"k_str", "k_int", "k_bool"},
+                         AllAggs("v_dbl"));
 }
 
 TEST(AggDifferential, GlobalAggregateNoKeys) {
-  ExpectFourWayIdentical(MakeWideTable(500), AggPlan({}, AllAggs("v_dbl")));
+  ExpectAggMatchesOracle(MakeWideTable(500), {}, AllAggs("v_dbl"));
 }
 
 TEST(AggDifferential, GlobalAggregateOverEmptyInputYieldsOneRow) {
   auto empty = MakeWideTable(0);
-  ExpectFourWayIdentical(empty, AggPlan({}, AllAggs("v_int")));
+  ExpectAggMatchesOracle(empty, {}, AllAggs("v_int"));
   auto op = MakeAggregate(MakeSeqScan(empty), {}, AllAggs("v_int"));
   auto r = Materialize(op.get(), "out");
   ASSERT_TRUE(r.ok());
@@ -163,21 +155,20 @@ TEST(AggDifferential, GlobalAggregateOverEmptyInputYieldsOneRow) {
 }
 
 TEST(AggDifferential, GroupedAggregateOverEmptyInputYieldsNoRows) {
-  ExpectFourWayIdentical(MakeWideTable(0),
-                         AggPlan({"k_int"}, AllAggs("v_dbl")));
+  ExpectAggMatchesOracle(MakeWideTable(0), {"k_int"}, AllAggs("v_dbl"));
 }
 
 TEST(AggDifferential, MultiChunkInput) {
   // > 2 chunks of kChunkRows with a ragged tail.
-  ExpectFourWayIdentical(MakeWideTable(2 * kChunkRows + 777),
-                         AggPlan({"k_str", "k_int"}, AllAggs("v_dbl")));
+  ExpectAggMatchesOracle(MakeWideTable(2 * kChunkRows + 777),
+                         {"k_str", "k_int"}, AllAggs("v_dbl"));
 }
 
 TEST(AggDifferential, ViewInputSharesParentBuffers) {
   auto full = MakeWideTable(2000);
   auto view = std::make_shared<Table>(full->Slice(311, 1777));
   ASSERT_TRUE(view->is_view());
-  ExpectFourWayIdentical(view, AggPlan({"k_str"}, AllAggs("v_int")));
+  ExpectAggMatchesOracle(view, {"k_str"}, AllAggs("v_int"));
 }
 
 TEST(AggDifferential, MixedEncodingColumn) {
@@ -190,54 +181,46 @@ TEST(AggDifferential, MixedEncodingColumn) {
   t->AppendRow({Value::Int(1), Value::Str("zzz")});
   t->AppendRow({Value::Null(), Value::Bool(true)});
   t->AppendRow({Value::Str("one"), Value::Null()});
-  ExpectFourWayIdentical(t, AggPlan({"k"}, AllAggs("v")));
+  ExpectAggMatchesOracle(t, {"k"}, AllAggs("v"));
 }
 
 TEST(AggDifferential, OutputRowsCarryNoLineage) {
   auto t = MakeWideTable(200);
-  for (ExecImpl impl : {ExecImpl::kRow, ExecImpl::kColumnar}) {
-    auto op = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"),
-                            impl);
-    auto r = Materialize(op.get(), "out");
-    ASSERT_TRUE(r.ok());
-    for (size_t i = 0; i < r->num_rows(); ++i) {
-      EXPECT_EQ(r->row_lid(i), 0);
-    }
+  auto op = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"));
+  auto r = Materialize(op.get(), "out");
+  ASSERT_TRUE(r.ok());
+  for (size_t i = 0; i < r->num_rows(); ++i) {
+    EXPECT_EQ(r->row_lid(i), 0);
   }
 }
 
 TEST(AggDifferential, UnknownColumnErrorsMatchWordForWord) {
   auto t = MakeWideTable(10);
-  auto msg = [&](ExecImpl impl, std::vector<std::string> groups,
-                 std::vector<AggSpec> aggs) {
-    auto op = MakeAggregate(MakeSeqScan(t), std::move(groups),
-                            std::move(aggs), impl);
-    auto r = Materialize(op.get(), "out");
-    EXPECT_FALSE(r.ok());
-    return r.ok() ? std::string() : r.status().message();
+  auto expect_same = [&](std::vector<std::string> groups,
+                         std::vector<AggSpec> aggs) {
+    ExpectSameError(MakeAggregate(MakeSeqScan(t), groups, aggs),
+                    oracle::Aggregate(*t, groups, aggs));
   };
-  EXPECT_EQ(msg(ExecImpl::kRow, {"nope"}, AllAggs("v_dbl")),
-            msg(ExecImpl::kColumnar, {"nope"}, AllAggs("v_dbl")));
-  EXPECT_EQ(msg(ExecImpl::kRow, {"k_int"}, {{AggFn::kSum, "gone", "s"}}),
-            msg(ExecImpl::kColumnar, {"k_int"}, {{AggFn::kSum, "gone", "s"}}));
+  expect_same({"nope"}, AllAggs("v_dbl"));
+  expect_same({"k_int"}, {{AggFn::kSum, "gone", "s"}});
 }
 
 // ---------------------------------------------------------------------------
 // Sort differentials
 
 TEST(SortDifferential, SingleIntKeyAscending) {
-  ExpectFourWayIdentical(MakeWideTable(999), SortPlan({{"v_int", false}}));
+  ExpectSortMatchesOracle(MakeWideTable(999), {{"v_int", false}});
 }
 
 TEST(SortDifferential, MultiKeyMixedDirections) {
-  ExpectFourWayIdentical(
+  ExpectSortMatchesOracle(
       MakeWideTable(999),
-      SortPlan({{"k_str", false}, {"v_dbl", true}, {"v_int", false}}));
+      {{"k_str", false}, {"v_dbl", true}, {"v_int", false}});
 }
 
 TEST(SortDifferential, DictKeyDescendingPreservesLids) {
   auto t = MakeWideTable(500);
-  ExpectFourWayIdentical(t, SortPlan({{"v_str", true}}));
+  ExpectSortMatchesOracle(t, {{"v_str", true}});
   auto op = MakeSort(MakeSeqScan(t), {{"v_str", true}});
   auto r = Materialize(op.get(), "out");
   ASSERT_TRUE(r.ok());
@@ -249,7 +232,7 @@ TEST(SortDifferential, DictKeyDescendingPreservesLids) {
 TEST(SortDifferential, StableTiesKeepInputOrder) {
   // k_bool has 2 distinct non-NULL values over 999 rows: nearly every
   // comparison ties, so any instability would reorder lids.
-  ExpectFourWayIdentical(MakeWideTable(999), SortPlan({{"k_bool", false}}));
+  ExpectSortMatchesOracle(MakeWideTable(999), {{"k_bool", false}});
 }
 
 TEST(SortDifferential, NaNAndInfinityKeys) {
@@ -266,8 +249,8 @@ TEST(SortDifferential, NaNAndInfinityKeys) {
     ++tag;
   }
   t->AppendRow({Value::Null(), Value::Int(tag)}, tag + 1);
-  ExpectFourWayIdentical(t, SortPlan({{"d", false}}));
-  ExpectFourWayIdentical(t, SortPlan({{"d", true}}));
+  ExpectSortMatchesOracle(t, {{"d", false}});
+  ExpectSortMatchesOracle(t, {{"d", true}});
 }
 
 TEST(SortDifferential, MixedEncodingKeyColumn) {
@@ -280,45 +263,33 @@ TEST(SortDifferential, MixedEncodingKeyColumn) {
   t->AppendRow({Value::Null()});
   t->AppendRow({Value::Bool(true)});
   t->AppendRow({Value::Int(-3)});
-  ExpectFourWayIdentical(t, SortPlan({{"k", false}}));
-  ExpectFourWayIdentical(t, SortPlan({{"k", true}}));
+  ExpectSortMatchesOracle(t, {{"k", false}});
+  ExpectSortMatchesOracle(t, {{"k", true}});
 }
 
 TEST(SortDifferential, MultiChunkViewInput) {
   auto full = MakeWideTable(2 * kChunkRows + 333);
   auto view = std::make_shared<Table>(full->Slice(100, 2 * kChunkRows));
   ASSERT_TRUE(view->is_view());
-  ExpectFourWayIdentical(view,
-                         SortPlan({{"v_dbl", true}, {"k_str", false}}));
+  ExpectSortMatchesOracle(view, {{"v_dbl", true}, {"k_str", false}});
 }
 
 TEST(SortDifferential, EmptyInput) {
-  ExpectFourWayIdentical(MakeWideTable(0), SortPlan({{"v_int", false}}));
+  ExpectSortMatchesOracle(MakeWideTable(0), {{"v_int", false}});
 }
 
 TEST(SortDifferential, UnknownColumnErrorsMatchWordForWord) {
   auto t = MakeWideTable(10);
-  auto msg = [&](ExecImpl impl) {
-    auto op = MakeSort(MakeSeqScan(t), {{"missing", false}}, impl);
-    auto r = Materialize(op.get(), "out");
-    EXPECT_FALSE(r.ok());
-    return r.ok() ? std::string() : r.status().message();
-  };
-  EXPECT_EQ(msg(ExecImpl::kRow), msg(ExecImpl::kColumnar));
+  ExpectSameError(MakeSort(MakeSeqScan(t), {{"missing", false}}),
+                  oracle::Sort(*t, {{"missing", false}}));
 }
 
-TEST(SortDifferential, DescribeMatchesRowKernel) {
+TEST(SortDifferential, DescribeNamesKeysAndAggregateShape) {
   auto t = MakeWideTable(5);
-  auto a = MakeSort(MakeSeqScan(t), {{"v_int", true}, {"k_str", false}},
-                    ExecImpl::kRow);
-  auto b = MakeSort(MakeSeqScan(t), {{"v_int", true}, {"k_str", false}},
-                    ExecImpl::kColumnar);
-  EXPECT_EQ(a->Describe(), b->Describe());
-  auto c = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"),
-                         ExecImpl::kRow);
-  auto d = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"),
-                         ExecImpl::kColumnar);
-  EXPECT_EQ(c->Describe(), d->Describe());
+  auto sort = MakeSort(MakeSeqScan(t), {{"v_int", true}, {"k_str", false}});
+  EXPECT_EQ(sort->Describe(), "Sort(v_int DESC, k_str ASC)");
+  auto agg = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"));
+  EXPECT_EQ(agg->Describe(), "Aggregate(groups=1, aggs=5)");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Differential tests for the columnar storage engine: chunked execution
-// vs the row-at-a-time reference, zero-copy slices, copy-on-write, and
-// encoding-independent fingerprints.
+// Differential tests for the columnar storage engine: the vectorized
+// operators against the row-at-a-time oracle (row_oracle.h), zero-copy
+// slices, copy-on-write, and encoding-independent fingerprints.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "relational/expr.h"
 #include "relational/ops.h"
 #include "relational/table.h"
+#include "row_oracle.h"
 #include "service/result_cache.h"
 
 namespace kathdb::rel {
@@ -254,94 +255,229 @@ TEST(ColumnarTableTest, ValidateStillCatchesRaggedRows) {
 
 // -------------------------------------------- chunked vs row execution
 
-/// Operator-tree factories evaluated under both Materialize flavors.
+ExprPtr Cmp(BinaryOp op, const std::string& col, Value v) {
+  return Expr::Binary(op, Expr::Column(col), Expr::Literal(std::move(v)));
+}
+
+/// An operator tree and the same query written against the oracle.
 struct OpCase {
   std::string name;
-  std::function<OperatorPtr(std::shared_ptr<Table>)> make;
+  std::function<OperatorPtr(TablePtr)> plan;
+  std::function<Result<Table>(const Table&)> oracle;
 };
 
 std::vector<OpCase> DifferentialCases() {
   std::vector<OpCase> cases;
-  cases.push_back({"scan", [](std::shared_ptr<Table> t) {
-                     return MakeSeqScan(std::move(t));
+  cases.push_back({"scan", [](TablePtr t) { return MakeSeqScan(t); },
+                   [](const Table& t) -> Result<Table> { return t; }});
+  {
+    // column <cmp> literal over INT: tight-loop select.
+    ExprPtr pred = Cmp(BinaryOp::kGe, "year", Value::Int(1990));
+    cases.push_back({"filter_fast_path",
+                     [pred](TablePtr t) {
+                       return MakeFilter(MakeSeqScan(t), pred);
+                     },
+                     [pred](const Table& t) {
+                       return oracle::Filter(t, *pred);
+                     }});
+  }
+  {
+    ExprPtr pred = Expr::Binary(
+        BinaryOp::kOr,
+        Expr::Binary(BinaryOp::kAnd,
+                     Cmp(BinaryOp::kLt, "score", Value::Double(0.3)),
+                     Expr::Column("watched")),
+        Cmp(BinaryOp::kEq, "genre", Value::Str("drama")));
+    cases.push_back({"filter_and_or",
+                     [pred](TablePtr t) {
+                       return MakeFilter(MakeSeqScan(t), pred);
+                     },
+                     [pred](const Table& t) {
+                       return oracle::Filter(t, *pred);
+                     }});
+  }
+  {
+    std::vector<ExprPtr> exprs = {
+        Expr::Column("mid"),
+        Expr::Binary(BinaryOp::kAdd, Expr::Column("score"),
+                     Expr::Literal(Value::Double(1.0))),
+        Expr::Call("upper", {Expr::Column("genre")}),
+        Expr::Binary(BinaryOp::kAdd, Expr::Column("genre"),
+                     Expr::Literal(Value::Str("!")))};
+    std::vector<std::string> names = {"mid", "s1", "g", "gx"};
+    cases.push_back({"project_exprs",
+                     [=](TablePtr t) {
+                       return MakeProject(MakeSeqScan(t), exprs, names);
+                     },
+                     [=](const Table& t) {
+                       return oracle::Project(t, exprs, names);
+                     }});
+  }
+  {
+    ExprPtr pre = Cmp(BinaryOp::kGt, "score", Value::Double(0.25));
+    std::vector<ExprPtr> exprs = {
+        Expr::Column("genre"),
+        Expr::Binary(BinaryOp::kMul, Expr::Column("mid"),
+                     Expr::Column("mid"))};
+    std::vector<std::string> names = {"genre", "mid_sq"};
+    ExprPtr post = Cmp(BinaryOp::kNe, "genre", Value::Str("horror"));
+    cases.push_back(
+        {"filter_project_stack",
+         [=](TablePtr t) {
+           auto p = MakeProject(MakeFilter(MakeSeqScan(t), pre), exprs, names);
+           return MakeFilter(std::move(p), post);
+         },
+         [=](const Table& t) -> Result<Table> {
+           KATHDB_ASSIGN_OR_RETURN(Table f, oracle::Filter(t, *pre));
+           KATHDB_ASSIGN_OR_RETURN(Table p, oracle::Project(f, exprs, names));
+           return oracle::Filter(p, *post);
+         }});
+  }
+  {
+    // Self-join on genre against 6 build rows: ~1.5 matches per probe
+    // row, so one probe chunk yields more than kChunkRows pairs.
+    ExprPtr small = Cmp(BinaryOp::kLt, "mid", Value::Int(6));
+    cases.push_back(
+        {"join_columnar_build",
+         [small](TablePtr t) {
+           return MakeHashJoin(MakeSeqScan(t),
+                               MakeFilter(MakeSeqScan(t), small), "genre",
+                               "genre");
+         },
+         [small](const Table& t) -> Result<Table> {
+           KATHDB_ASSIGN_OR_RETURN(Table right, oracle::Filter(t, *small));
+           return oracle::HashJoin(t, right, "genre", "genre");
+         }});
+  }
+  {
+    // Selection-vector probe input, NULL join keys on both sides (year
+    // is NULL on every 7th row).
+    ExprPtr probe = Cmp(BinaryOp::kLt, "score", Value::Double(0.5));
+    ExprPtr build = Cmp(BinaryOp::kLt, "mid", Value::Int(40));
+    cases.push_back(
+        {"hash_join_filtered_probe",
+         [=](TablePtr t) {
+           return MakeHashJoin(MakeFilter(MakeSeqScan(t), probe),
+                               MakeFilter(MakeSeqScan(t), build), "year",
+                               "year");
+         },
+         [=](const Table& t) -> Result<Table> {
+           KATHDB_ASSIGN_OR_RETURN(Table left, oracle::Filter(t, *probe));
+           KATHDB_ASSIGN_OR_RETURN(Table right, oracle::Filter(t, *build));
+           return oracle::HashJoin(left, right, "year", "year");
+         }});
+  }
+  {
+    // Theta join over a selection-vector probe input: ~500 x 50 pairs,
+    // evaluated in many kChunkRows batches.
+    ExprPtr probe = Cmp(BinaryOp::kGe, "score", Value::Double(0.9));
+    ExprPtr build = Cmp(BinaryOp::kLt, "mid", Value::Int(50));
+    ExprPtr pred = Expr::Binary(
+        BinaryOp::kAnd,
+        Expr::Binary(BinaryOp::kLt, Expr::Column("year"),
+                     Expr::Column("r.year")),
+        Expr::Binary(BinaryOp::kEq, Expr::Column("genre"),
+                     Expr::Column("r.genre")));
+    cases.push_back(
+        {"nested_loop_join_filtered_probe",
+         [=](TablePtr t) {
+           return MakeNestedLoopJoin(MakeFilter(MakeSeqScan(t), probe),
+                                     MakeFilter(MakeSeqScan(t), build), pred);
+         },
+         [=](const Table& t) -> Result<Table> {
+           KATHDB_ASSIGN_OR_RETURN(Table left, oracle::Filter(t, *probe));
+           KATHDB_ASSIGN_OR_RETURN(Table right, oracle::Filter(t, *build));
+           return oracle::NestedLoopJoin(left, right, *pred);
+         }});
+  }
+  {
+    std::vector<std::string> groups = {"genre"};
+    std::vector<AggSpec> aggs = {{AggFn::kCount, "", "n"},
+                                 {AggFn::kAvg, "score", "avg_score"},
+                                 {AggFn::kMax, "year", "max_year"}};
+    cases.push_back({"aggregate",
+                     [=](TablePtr t) {
+                       return MakeAggregate(MakeSeqScan(t), groups, aggs);
+                     },
+                     [=](const Table& t) {
+                       return oracle::Aggregate(t, groups, aggs);
+                     }});
+  }
+  {
+    ExprPtr pred = Cmp(BinaryOp::kGe, "year", Value::Int(1990));
+    cases.push_back({"limit_mid_selection_chunk",
+                     [pred](TablePtr t) {
+                       return MakeLimit(MakeFilter(MakeSeqScan(t), pred), 1500);
+                     },
+                     [pred](const Table& t) -> Result<Table> {
+                       KATHDB_ASSIGN_OR_RETURN(Table f,
+                                               oracle::Filter(t, *pred));
+                       return oracle::Limit(f, 1500);
+                     }});
+  }
+  cases.push_back({"limit_mid_dense_chunk",
+                   [](TablePtr t) {
+                     return MakeLimit(MakeSeqScan(t), kChunkRows + 5);
+                   },
+                   [](const Table& t) {
+                     return oracle::Limit(t, kChunkRows + 5);
                    }});
-  cases.push_back({"filter_fast_path", [](std::shared_ptr<Table> t) {
-                     // column <cmp> literal over INT: tight-loop select.
-                     return MakeFilter(
-                         MakeSeqScan(std::move(t)),
-                         Expr::Binary(BinaryOp::kGe, Expr::Column("year"),
-                                      Expr::Literal(Value::Int(1990))));
-                   }});
-  cases.push_back({"filter_and_or", [](std::shared_ptr<Table> t) {
-                     auto pred = Expr::Binary(
-                         BinaryOp::kOr,
-                         Expr::Binary(
-                             BinaryOp::kAnd,
-                             Expr::Binary(BinaryOp::kLt, Expr::Column("score"),
-                                          Expr::Literal(Value::Double(0.3))),
-                             Expr::Column("watched")),
-                         Expr::Binary(BinaryOp::kEq, Expr::Column("genre"),
-                                      Expr::Literal(Value::Str("drama"))));
-                     return MakeFilter(MakeSeqScan(std::move(t)), pred);
-                   }});
-  cases.push_back({"project_exprs", [](std::shared_ptr<Table> t) {
-                     std::vector<ExprPtr> exprs;
-                     exprs.push_back(Expr::Column("mid"));
-                     exprs.push_back(Expr::Binary(
-                         BinaryOp::kAdd, Expr::Column("score"),
-                         Expr::Literal(Value::Double(1.0))));
-                     exprs.push_back(Expr::Call(
-                         "upper", {Expr::Column("genre")}));
-                     exprs.push_back(Expr::Binary(
-                         BinaryOp::kAdd, Expr::Column("genre"),
-                         Expr::Literal(Value::Str("!"))));
-                     return MakeProject(MakeSeqScan(std::move(t)),
-                                        std::move(exprs),
-                                        {"mid", "s1", "g", "gx"});
-                   }});
-  cases.push_back({"filter_project_stack", [](std::shared_ptr<Table> t) {
-                     auto f = MakeFilter(
-                         MakeSeqScan(std::move(t)),
-                         Expr::Binary(BinaryOp::kGt, Expr::Column("score"),
-                                      Expr::Literal(Value::Double(0.25))));
-                     std::vector<ExprPtr> exprs;
-                     exprs.push_back(Expr::Column("genre"));
-                     exprs.push_back(Expr::Binary(BinaryOp::kMul,
-                                                  Expr::Column("mid"),
-                                                  Expr::Column("mid")));
-                     auto p = MakeProject(std::move(f), std::move(exprs),
-                                          {"genre", "mid_sq"});
-                     return MakeFilter(
-                         std::move(p),
-                         Expr::Binary(BinaryOp::kNe, Expr::Column("genre"),
-                                      Expr::Literal(Value::Str("horror"))));
-                   }});
-  cases.push_back({"join_columnar_build", [](std::shared_ptr<Table> t) {
-                     // Self-join on genre: exercises the columnar build
-                     // side, hash collision filtering and Concat schema.
-                     auto right = MakeFilter(
-                         MakeSeqScan(t),
-                         Expr::Binary(BinaryOp::kLt, Expr::Column("mid"),
-                                      Expr::Literal(Value::Int(6))));
-                     return MakeHashJoin(MakeSeqScan(t), std::move(right),
-                                         "genre", "genre");
-                   }});
-  cases.push_back({"aggregate_adapter", [](std::shared_ptr<Table> t) {
-                     return MakeAggregate(
-                         MakeSeqScan(std::move(t)), {"genre"},
-                         {{AggFn::kCount, "", "n"},
-                          {AggFn::kAvg, "score", "avg_score"},
-                          {AggFn::kMax, "year", "max_year"}});
-                   }});
-  cases.push_back({"sort_limit_distinct", [](std::shared_ptr<Table> t) {
-                     std::vector<ExprPtr> exprs;
-                     exprs.push_back(Expr::Column("genre"));
-                     auto p = MakeProject(MakeSeqScan(std::move(t)),
-                                          std::move(exprs), {"genre"});
-                     auto d = MakeDistinct(std::move(p));
-                     auto s = MakeSort(std::move(d), {{"genre", false}});
-                     return MakeLimit(std::move(s), 3);
-                   }});
+  cases.push_back({"limit_zero",
+                   [](TablePtr t) { return MakeLimit(MakeSeqScan(t), 0); },
+                   [](const Table& t) { return oracle::Limit(t, 0); }});
+  // DISTINCT over projected columns of each encoding.
+  auto distinct_case = [&cases](std::string name, std::vector<ExprPtr> exprs,
+                                std::vector<std::string> names) {
+    cases.push_back({std::move(name),
+                     [=](TablePtr t) {
+                       return MakeDistinct(
+                           MakeProject(MakeSeqScan(t), exprs, names));
+                     },
+                     [=](const Table& t) -> Result<Table> {
+                       KATHDB_ASSIGN_OR_RETURN(
+                           Table p, oracle::Project(t, exprs, names));
+                       return oracle::Distinct(p);
+                     }});
+  };
+  distinct_case("distinct_dict_and_bool",
+                {Expr::Column("genre"), Expr::Column("watched")},
+                {"genre", "watched"});
+  // score, negated on unwatched rows: -0.0 meets 0.0 (equal values) and
+  // NULLs meet NULLs.
+  distinct_case(
+      "distinct_double",
+      {Expr::Call("if", {Expr::Column("watched"), Expr::Column("score"),
+                         Expr::Binary(BinaryOp::kMul, Expr::Column("score"),
+                                      Expr::Literal(Value::Double(-1.0)))})},
+      {"s"});
+  // INT years, DOUBLE years (equal to the INT ones) and genre strings in
+  // one type-mixed column.
+  distinct_case(
+      "distinct_mixed",
+      {Expr::Call(
+          "if",
+          {Expr::Column("watched"), Expr::Column("year"),
+           Expr::Call("if",
+                      {Cmp(BinaryOp::kGt, "year", Value::Int(1990)),
+                       Expr::Binary(BinaryOp::kMul, Expr::Column("year"),
+                                    Expr::Literal(Value::Double(1.0))),
+                       Expr::Column("genre")})})},
+      {"m"});
+  cases.push_back(
+      {"sort_limit_distinct",
+       [](TablePtr t) {
+         auto p = MakeProject(MakeSeqScan(t), {Expr::Column("genre")},
+                              {"genre"});
+         auto s = MakeSort(MakeDistinct(std::move(p)), {{"genre", false}});
+         return MakeLimit(std::move(s), 3);
+       },
+       [](const Table& t) -> Result<Table> {
+         KATHDB_ASSIGN_OR_RETURN(
+             Table p, oracle::Project(t, {Expr::Column("genre")}, {"genre"}));
+         KATHDB_ASSIGN_OR_RETURN(Table d, oracle::Distinct(p));
+         KATHDB_ASSIGN_OR_RETURN(Table s, oracle::Sort(d, {{"genre", false}}));
+         return oracle::Limit(s, 3);
+       }});
   return cases;
 }
 
@@ -350,14 +486,65 @@ TEST(ChunkedExecutionTest, ByteIdenticalToRowExecution) {
   auto t = MakeMovies(3 * kChunkRows + 123);
   for (const auto& c : DifferentialCases()) {
     SCOPED_TRACE(c.name);
-    auto op_rows = c.make(t);
-    auto op_chunks = c.make(t);
-    auto by_rows = MaterializeRows(op_rows.get(), "out");
-    auto by_chunks = Materialize(op_chunks.get(), "out");
-    ASSERT_TRUE(by_rows.ok()) << by_rows.status().ToString();
-    ASSERT_TRUE(by_chunks.ok()) << by_chunks.status().ToString();
-    ExpectIdentical(by_rows.value(), by_chunks.value());
+    auto op = c.plan(t);
+    auto got = Materialize(op.get(), "out");
+    auto want = c.oracle(*t);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectIdentical(want.value(), got.value());
   }
+}
+
+TEST(ChunkedExecutionTest, ErrorsMatchOracleWordForWord) {
+  auto t = MakeMovies(3 * kChunkRows + 123);
+  auto expect_same_error = [&](const OpCase& c) {
+    SCOPED_TRACE(c.name);
+    auto op = c.plan(t);
+    auto got = Materialize(op.get(), "out");
+    auto want = c.oracle(*t);
+    ASSERT_FALSE(want.ok());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+  };
+  // Division by zero only on the last chunk's rows.
+  ExprPtr late_div = Expr::Binary(
+      BinaryOp::kGt,
+      Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value::Int(1)),
+                   Expr::Binary(BinaryOp::kSub, Expr::Column("mid"),
+                                Expr::Literal(Value::Int(3 * kChunkRows)))),
+      Expr::Literal(Value::Int(0)));
+  expect_same_error({"filter_division_by_zero",
+                     [=](TablePtr in) {
+                       return MakeFilter(MakeSeqScan(in), late_div);
+                     },
+                     [=](const Table& in) {
+                       return oracle::Filter(in, *late_div);
+                     }});
+  expect_same_error({"hash_join_missing_right_column",
+                     [](TablePtr in) {
+                       return MakeHashJoin(MakeSeqScan(in), MakeSeqScan(in),
+                                           "genre", "ghost");
+                     },
+                     [](const Table& in) {
+                       return oracle::HashJoin(in, in, "genre", "ghost");
+                     }});
+  expect_same_error({"hash_join_missing_left_column",
+                     [](TablePtr in) {
+                       return MakeHashJoin(MakeSeqScan(in), MakeSeqScan(in),
+                                           "ghost", "genre");
+                     },
+                     [](const Table& in) {
+                       return oracle::HashJoin(in, in, "ghost", "genre");
+                     }});
+  ExprPtr ghost = Cmp(BinaryOp::kEq, "r.ghost", Value::Int(1));
+  expect_same_error({"nested_loop_join_unknown_column",
+                     [=](TablePtr in) {
+                       return MakeNestedLoopJoin(MakeSeqScan(in),
+                                                 MakeSeqScan(in), ghost);
+                     },
+                     [=](const Table& in) {
+                       return oracle::NestedLoopJoin(in, in, *ghost);
+                     }});
 }
 
 TEST(ChunkedExecutionTest, EmptyInputAndEmptySelection) {
@@ -403,13 +590,12 @@ TEST(ChunkedExecutionTest, ShortCircuitHidesErrorsLikeInterpreter) {
                    Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value::Int(100)),
                                 Expr::Column("mid")),
                    Expr::Literal(Value::Int(3))));
-  auto op_rows = MakeFilter(MakeSeqScan(t), pred);
-  auto op_chunks = MakeFilter(MakeSeqScan(t), pred);
-  auto by_rows = MaterializeRows(op_rows.get(), "out");
-  auto by_chunks = Materialize(op_chunks.get(), "out");
-  ASSERT_TRUE(by_rows.ok()) << by_rows.status().ToString();
-  ASSERT_TRUE(by_chunks.ok()) << by_chunks.status().ToString();
-  ExpectIdentical(by_rows.value(), by_chunks.value());
+  auto op = MakeFilter(MakeSeqScan(t), pred);
+  auto got = Materialize(op.get(), "out");
+  auto want = oracle::Filter(*t, *pred);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectIdentical(want.value(), got.value());
 }
 
 // -------------------------------------- morsel + cache differential

@@ -228,6 +228,64 @@ TEST_F(SqlEngineTest, DistinctRemovesDuplicates) {
   EXPECT_EQ(r.value().num_rows(), 3u);
 }
 
+TEST_F(SqlEngineTest, DistinctComparesValuesNotRenderedText) {
+  // Doubles that render alike stay apart; 0.0 and -0.0 are one value.
+  auto d = std::make_shared<Table>("d", Schema({{"x", DataType::kDouble}}));
+  for (double x : {0.1234561, 0.1234564, 0.0, -0.0}) {
+    d->AppendRow({Value::Double(x)});
+  }
+  ASSERT_TRUE(catalog_.Register(d).ok());
+  SqlEngine eng(&catalog_);
+  auto r = eng.Execute("SELECT DISTINCT x FROM d");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3u);
+  EXPECT_EQ(r->at(0, 0).AsDouble(), 0.1234561);
+  EXPECT_EQ(r->at(1, 0).AsDouble(), 0.1234564);
+  EXPECT_EQ(r->at(2, 0).AsDouble(), 0.0);
+
+  // Cells whose text joins alike, and the string 'NULL' beside a NULL,
+  // are distinct rows.
+  auto p = std::make_shared<Table>(
+      "pairs", Schema({{"a", DataType::kString}, {"b", DataType::kString}}));
+  p->AppendRow({Value::Str("a\x01"), Value::Str("b")});
+  p->AppendRow({Value::Str("a"), Value::Str("\x01" "b")});
+  p->AppendRow({Value::Str("NULL"), Value::Str("x")});
+  p->AppendRow({Value::Null(), Value::Str("x")});
+  ASSERT_TRUE(catalog_.Register(p).ok());
+  auto r2 = eng.Execute("SELECT DISTINCT a, b FROM pairs");
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(r2->num_rows(), 4u);
+}
+
+TEST_F(SqlEngineTest, EquiJoinNeverMatchesNullKeys) {
+  auto a = std::make_shared<Table>(
+      "a", Schema({{"k", DataType::kInt}, {"x", DataType::kInt}}));
+  a->AppendRow({Value::Null(), Value::Int(10)});
+  a->AppendRow({Value::Int(1), Value::Int(11)});
+  auto b = std::make_shared<Table>(
+      "b", Schema({{"k", DataType::kInt}, {"y", DataType::kInt}}));
+  b->AppendRow({Value::Null(), Value::Int(20)});
+  b->AppendRow({Value::Int(1), Value::Int(21)});
+  ASSERT_TRUE(catalog_.Register(a).ok());
+  ASSERT_TRUE(catalog_.Register(b).ok());
+  SqlEngine eng(&catalog_);
+  // Planned as a hash join, a nested-loop join and a filtered cross
+  // join: SQL `NULL = NULL` is not true in any of them.
+  auto hash = eng.Execute("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k");
+  auto nested =
+      eng.Execute("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k AND 1 = 1");
+  auto where =
+      eng.Execute("SELECT a.x, b.y FROM a CROSS JOIN b WHERE a.k = b.k");
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  ASSERT_TRUE(where.ok()) << where.status().ToString();
+  ASSERT_EQ(hash->num_rows(), 1u);
+  EXPECT_EQ(hash->at(0, 0), Value::Int(11));
+  EXPECT_EQ(hash->at(0, 1), Value::Int(21));
+  EXPECT_EQ(hash->Fingerprint(), nested->Fingerprint());
+  EXPECT_EQ(hash->Fingerprint(), where->Fingerprint());
+}
+
 TEST_F(SqlEngineTest, LikeFilter) {
   SqlEngine eng(&catalog_);
   auto r = eng.Execute("SELECT title FROM films WHERE title LIKE '%sober%'");
@@ -306,6 +364,12 @@ struct OrderCase {
   const char* column;
   bool desc;
 };
+
+// Names each case by its text (e.g. `year_desc`): without this gtest prints
+// the struct's raw bytes, pointer included, and the test IDs change per run.
+void PrintTo(const OrderCase& oc, std::ostream* os) {
+  *os << oc.column << (oc.desc ? "_desc" : "_asc");
+}
 
 class OrderSweep : public ::testing::TestWithParam<OrderCase> {};
 
